@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -35,12 +36,7 @@ from .mcp import (
 from .numerics import LeftEigenbasis, left_eigenbasis, perturb_nonzero
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
-from .structural import (
-    compatible_mscp_solution,
-    scc_dag,
-    solve_mscp,
-    state_digraph,
-)
+from .structural import compatible_input, mscp_condensation, sparsest_input
 from .structure import StructuralMatrix, structural_geq, structural_pattern
 from .tolerances import DEFAULT_ZERO_TOL, Tolerances
 from .verify import kalman_test, pbh_eigenvalue_test, pbh_eigenvector_test
@@ -53,6 +49,9 @@ SCHEMA_VERSION = 1
 PERTURB_ZERO_TOL_FACTOR = 1e-3
 
 _TOL_KEYS = ("residual_tol", "gap_tol", "rank_tol", "zero_tol", "tau")
+
+#: Entry types a JSON number decodes to; ``bool`` is deliberately absent.
+_NUMBER_TYPES = {int, float}
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +104,28 @@ def _decode_entry(raw, where: str) -> complex:
 
 
 def _decode_rows(raw, n_rows: int, n_cols: int, where: str) -> np.ndarray:
+    """Rows of numbers or of [real, imag] pairs as a complex array.
+
+    The whole matrix is validated and converted at once. Only a matrix
+    that fails a check, or mixes numbers with pairs, is walked entry by
+    entry, which words the error at the first offending entry.
+    """
     if not isinstance(raw, list) or len(raw) != n_rows:
         raise DimensionError(f"{where}: expected {n_rows} rows")
+    if all(type(row) is list and len(row) == n_cols for row in raw):
+        entries = list(chain.from_iterable(raw))
+        kinds = set(map(type, entries))
+        values = None
+        if kinds <= _NUMBER_TYPES:
+            values = np.array(raw, dtype=float).astype(complex)
+        elif (
+            kinds == {list}
+            and set(map(len, entries)) == {2}
+            and set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES
+        ):
+            values = np.array(raw, dtype=float).view(complex)[..., 0]
+        if values is not None and np.isfinite(values).all():
+            return values
     out = np.empty((n_rows, n_cols), dtype=complex)
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n_cols:
@@ -192,24 +211,18 @@ def load_problem(path: str) -> ProblemFile:
     return _load_text_problem(text, path)
 
 
-def _c2j(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vec2j(v) -> list:
-    return [_c2j(z) for z in np.asarray(v, dtype=complex)]
-
-
-def _mat2j(M) -> list:
-    return [_vec2j(row) for row in np.asarray(M, dtype=complex)]
+def _complex2j(v) -> list:
+    """A complex array as nested lists whose innermost items are [re, im]."""
+    v = np.asarray(v, dtype=complex)
+    return np.stack([v.real, v.imag], -1).tolist()
 
 
 def problem_to_dict(pf: ProblemFile) -> dict:
-    doc = {"n": pf.n, "matrix": _mat2j(pf.matrix)}
+    doc = {"n": pf.n, "matrix": _complex2j(pf.matrix)}
     if pf.has_eigenbasis:
         doc["eigenbasis"] = {
-            "eigenvalues": _vec2j(pf.eigenvalues),
-            "vectors": _mat2j(pf.eigenvectors),
+            "eigenvalues": _complex2j(pf.eigenvalues),
+            "vectors": _complex2j(pf.eigenvectors),
         }
     if pf.tolerance_overrides:
         doc["tolerances"] = dict(sorted(pf.tolerance_overrides.items()))
@@ -223,7 +236,7 @@ def save_problem(pf: ProblemFile, path: str):
 
 
 def _matrix_digest(matrix) -> str:
-    payload = json.dumps(_mat2j(matrix), separators=(",", ":")).encode()
+    payload = json.dumps(_complex2j(matrix), separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -318,7 +331,7 @@ def _solution_to_dict(solution: McpSolution) -> dict:
         "support": list(solution.support),
         "input_pattern": str(solution.pattern),
         "support_size": solution.size,
-        "vector": _vec2j(solution.vector),
+        "vector": _complex2j(solution.vector),
         "mode": solution.mode,
         "verification": _verification_to_dict(solution.certificate),
     }
@@ -349,7 +362,7 @@ def _cmd_solve_mcp(args) -> tuple[int, dict]:
     report.update(
         {
             "eigenbasis_source": basis_source,
-            "eigenvalues": _vec2j(basis.eigenvalues),
+            "eigenvalues": _complex2j(basis.eigenvalues),
             "eigenvector_patterns": [str(p) for p in patterns],
             "cover_instance": {
                 "universe": sorted(instance.universe),
@@ -383,8 +396,8 @@ def _cmd_solve_mscp(args) -> tuple[int, dict]:
     tol, _ = _effective_tolerances(args, pf)
     report = _base_report("solve-mscp", args.problem, pf, tol)
     a_pattern = StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol)
-    b_pattern = solve_mscp(a_pattern)
-    dag = scc_dag(state_digraph(a_pattern))
+    dag = mscp_condensation(a_pattern)
+    b_pattern = sparsest_input(dag)
     report.update(
         {
             "matrix_pattern": [str(a_pattern.row(i)) for i in range(1, pf.n + 1)],
@@ -415,7 +428,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     tol, _ = _effective_tolerances(args, pf)
     report = _base_report("verify", args.problem, pf, tol)
     b = _parse_vector(args.vector, pf.n)
-    report["vector"] = _vec2j(b)
+    report["vector"] = _complex2j(b)
     report["method"] = args.method
     if args.method == "kalman":
         res = kalman_test(pf.matrix, b, tol.rank_tol)
@@ -465,8 +478,8 @@ def _cmd_compare(args) -> tuple[int, dict]:
     pf = load_problem(args.problem)
     tol, _ = _effective_tolerances(args, pf)
     report = _base_report("compare", args.problem, pf, tol)
-    a_pattern = StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol)
-    mscp_pattern = solve_mscp(a_pattern)
+    dag = mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
+    mscp_pattern = sparsest_input(dag)
     basis, _ = _resolve_basis(pf, pf.matrix, tol)
     solution = solve_mcp(
         pf.matrix,
@@ -477,7 +490,7 @@ def _cmd_compare(args) -> tuple[int, dict]:
         rank_tol=tol.rank_tol,
         exact_limit=args.exact_limit,
     )
-    witness = compatible_mscp_solution(a_pattern, solution.pattern)
+    witness = compatible_input(dag, solution.pattern)
     report.update(
         {
             "mcp": {
@@ -510,8 +523,8 @@ def _cmd_eig(args) -> tuple[int, dict]:
     report.update(
         {
             "eigenbasis_source": basis_source,
-            "eigenvalues": _vec2j(basis.eigenvalues),
-            "eigenvectors": _mat2j(basis.vectors),
+            "eigenvalues": _complex2j(basis.eigenvalues),
+            "eigenvectors": _complex2j(basis.vectors),
             "eigenvector_patterns": [str(p) for p in patterns],
         }
     )

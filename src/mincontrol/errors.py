@@ -21,6 +21,14 @@ class EigensolveFailed(MincontrolError):
     """The dense eigensolver did not converge."""
 
 
+class NumericalBreakdown(MincontrolError):
+    """A dense linear-algebra step failed or met non-finite values.
+
+    Typically an intermediate such as the Krylov matrix overflowed; the
+    input itself was valid, so this is not a ValueError.
+    """
+
+
 class EmptySupport(MincontrolError, ValueError):
     """A structural vector with at least one nonzero position was required."""
 

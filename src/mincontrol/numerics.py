@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigensolveFailed, NotSimple
+from .errors import DimensionMismatch, EigensolveFailed, NotSimple, NumericalBreakdown
 from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL
 
 #: Relative magnitude below which an entry is ignored when fixing the
@@ -192,14 +192,23 @@ def numerical_rank(M, rank_tol: float | None = None) -> int:
     """Number of singular values above ``rank_tol * sigma_max``.
 
     ``rank_tol=None`` uses ``eps * max(rows, cols)``. The zero matrix has
-    rank 0.
+    rank 0. Raises NumericalBreakdown when M has non-finite entries or
+    the SVD does not converge.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericalBreakdown(
+            f"{M.shape[0]}x{M.shape[1]} matrix has non-finite entries "
+            "(an intermediate overflowed); its numerical rank is undefined"
+        )
     if rank_tol is None:
         rank_tol = np.finfo(float).eps * max(M.shape)
-    s = np.linalg.svd(M, compute_uv=False)
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > rank_tol * s[0]))

@@ -59,17 +59,10 @@ def state_digraph(pattern: StructuralMatrix) -> StateDigraph:
     """Digraph of a square pattern: x_i -> x_j iff position (j, i) is a star."""
     if pattern.rows != pattern.cols:
         raise NotSquare(f"pattern is {pattern.rows}x{pattern.cols}")
-    n = pattern.rows
-    edges = {
-        (i, j)
-        for j in range(1, n + 1)
-        for i in range(1, n + 1)
-        if pattern.entry(j, i)
-    }
-    return StateDigraph(n, frozenset(edges))
+    return StateDigraph(pattern.rows, frozenset((i, j) for j, i in pattern.stars))
 
 
-def _tarjan_components(n: int, adjacency: dict[int, tuple[int, ...]]) -> list[list[int]]:
+def _tarjan_components(n: int, adjacency: list[list[int]]) -> list[list[int]]:
     """Strongly connected components, iteratively (no recursion limit)."""
     index = [0] * (n + 1)
     low = [0] * (n + 1)
@@ -119,7 +112,9 @@ def _tarjan_components(n: int, adjacency: dict[int, tuple[int, ...]]) -> list[li
 
 def scc_dag(g: StateDigraph) -> SccDag:
     """Condense a digraph and flag the components with no incoming edge."""
-    adjacency = {v: g.successors(v) for v in range(1, g.n + 1)}
+    adjacency: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for i, j in sorted(g.edges):
+        adjacency[i].append(j)
     components = _tarjan_components(g.n, adjacency)
     components.sort(key=lambda c: c[0])
     membership = [0] * g.n
@@ -155,28 +150,57 @@ def _require_full_diagonal(pattern: StructuralMatrix):
         )
 
 
+def mscp_condensation(pattern: StructuralMatrix) -> SccDag:
+    """Condensation of a full-diagonal pattern's state digraph.
+
+    Raises MissingSelfLoops when a diagonal position is zero, since the
+    solvers below cover only that case.
+    """
+    _require_full_diagonal(pattern)
+    return scc_dag(state_digraph(pattern))
+
+
+def sparsest_input(dag: SccDag) -> StructuralVector:
+    """One star per non-top-linked component, at its lowest-index vertex."""
+    support = [comp[0] for comp in dag.non_top_linked_components]
+    return StructuralVector.from_support(support, len(dag.membership))
+
+
+def compatible_input(dag: SccDag, reference: StructuralVector) -> StructuralVector:
+    """A sparsest input dominated by ``reference`` where possible.
+
+    Per non-top-linked component, the lowest vertex ``reference``
+    actuates, else the component's lowest vertex.
+    """
+    n = len(dag.membership)
+    if len(reference) != n:
+        raise DimensionMismatch(f"reference pattern length {len(reference)} != {n}")
+    starred = set(reference.support)
+    support = []
+    for comp in dag.non_top_linked_components:
+        inside = sorted(starred.intersection(comp))
+        support.append(inside[0] if inside else comp[0])
+    return StructuralVector.from_support(support, n)
+
+
 def solve_mscp(pattern: StructuralMatrix) -> StructuralVector:
     """Sparsest input pattern for structural controllability (full-diagonal case).
 
     Places one star per non-top-linked component, at its lowest-index
     vertex; no sparser pattern can reach every such component.
     """
-    _require_full_diagonal(pattern)
-    dag = scc_dag(state_digraph(pattern))
-    support = [comp[0] for comp in dag.non_top_linked_components]
-    return StructuralVector.from_support(support, pattern.rows)
+    return sparsest_input(mscp_condensation(pattern))
 
 
 def is_structurally_controllable(
     pattern: StructuralMatrix, b_pattern: StructuralVector
 ) -> bool:
     """Whether the input pattern feeds every non-top-linked component."""
-    _require_full_diagonal(pattern)
+    dag = mscp_condensation(pattern)
     if len(b_pattern) != pattern.rows:
         raise DimensionMismatch(
             f"input pattern length {len(b_pattern)} != {pattern.rows}"
         )
-    dag = scc_dag(state_digraph(pattern))
     starred = set(b_pattern.support)
     return all(
         starred.intersection(comp) for comp in dag.non_top_linked_components
@@ -193,15 +217,4 @@ def compatible_mscp_solution(
     per component, the lowest vertex the reference pattern already
     actuates, falling back to the component's lowest vertex.
     """
-    _require_full_diagonal(pattern)
-    if len(reference) != pattern.rows:
-        raise DimensionMismatch(
-            f"reference pattern length {len(reference)} != {pattern.rows}"
-        )
-    dag = scc_dag(state_digraph(pattern))
-    starred = set(reference.support)
-    support = []
-    for comp in dag.non_top_linked_components:
-        inside = sorted(starred.intersection(comp))
-        support.append(inside[0] if inside else comp[0])
-    return StructuralVector.from_support(support, pattern.rows)
+    return compatible_input(mscp_condensation(pattern), reference)

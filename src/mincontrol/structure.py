@@ -7,6 +7,8 @@ output and golden files. Positions are 1-based in all public indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ class StructuralVector:
     def __post_init__(self):
         if len(self.mask) == 0:
             raise ValueError("structural vector must have positive length")
-        object.__setattr__(self, "mask", tuple(bool(x) for x in self.mask))
+        object.__setattr__(self, "mask", tuple(map(bool, self.mask)))
 
     @classmethod
     def from_text(cls, text: str) -> "StructuralVector":
@@ -75,7 +77,7 @@ class StructuralMatrix:
             raise DimensionMismatch(
                 f"pattern length {len(self.mask)} != {self.rows}x{self.cols}"
             )
-        object.__setattr__(self, "mask", tuple(bool(x) for x in self.mask))
+        object.__setattr__(self, "mask", tuple(map(bool, self.mask)))
 
     @classmethod
     def from_numeric(cls, A, zero_tol: float = DEFAULT_ZERO_TOL) -> "StructuralMatrix":
@@ -87,7 +89,17 @@ class StructuralMatrix:
         mags = np.abs(A)
         peak = mags.max(initial=0.0)
         mask = (mags > zero_tol * peak) if peak > 0 else np.zeros_like(mags, bool)
-        return cls(A.shape[0], A.shape[1], tuple(mask.ravel().tolist()))
+        # tolist() already yields Python bools, and the stars come from
+        # numpy in O(nnz): skip the per-entry normalization and scan.
+        pattern = object.__new__(cls)
+        star_rows, star_cols = np.nonzero(mask)
+        pattern.__dict__.update(
+            rows=A.shape[0],
+            cols=A.shape[1],
+            mask=tuple(mask.ravel().tolist()),
+            stars=tuple(zip((star_rows + 1).tolist(), (star_cols + 1).tolist())),
+        )
+        return pattern
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "StructuralMatrix":
@@ -110,6 +122,15 @@ class StructuralMatrix:
     def diagonal(self) -> tuple[bool, ...]:
         k = min(self.rows, self.cols)
         return tuple(self.mask[i * self.cols + i] for i in range(k))
+
+    @cached_property
+    def stars(self) -> tuple[tuple[int, int], ...]:
+        """1-based (row, col) positions of the stars, in row-major order."""
+        cols = self.cols
+        return tuple(
+            (p // cols + 1, p % cols + 1)
+            for p in compress(range(len(self.mask)), self.mask)
+        )
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))

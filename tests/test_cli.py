@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from mincontrol import DimensionError, ParseError
 from mincontrol.cli import (
     ProblemFile,
+    _matrix_digest,
     load_problem,
     problem_to_dict,
     run_command,
@@ -123,6 +125,83 @@ class TestLoadProblem:
     def test_problem_to_dict_encodes_pairs(self):
         pf = ProblemFile(n=1, matrix=np.array([[1 + 2j]]))
         assert problem_to_dict(pf)["matrix"] == [[[1.0, 2.0]]]
+
+    def test_mixed_numbers_and_pairs(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"matrix": [[1, [0, -2.5]], [[3, 0], -0.0]]}')
+        pf = load_problem(str(path))
+        np.testing.assert_array_equal(pf.matrix, [[1, -2.5j], [3, 0]])
+        assert np.signbit(pf.matrix[1, 1].real)
+
+    def test_whole_array_decode_matches_entries(self, tmp_path):
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        M[rng.random((7, 7)) < 0.3] = complex(-0.0, -0.0)
+        pairs = [[[z.real, z.imag] for z in row] for row in M]
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"matrix": pairs}))
+        decoded = load_problem(str(path)).matrix
+        assert decoded.tobytes() == np.array(
+            [[complex(re, im) for re, im in row] for row in pairs]
+        ).tobytes()
+
+    def test_digest_matches_per_entry_encoding(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        M[0, 0] = complex(-0.0, 0.0)
+        M[1, 2] = complex(0.0, -0.0)
+        M[2, 3] = complex(1e300, -1e-300)
+        M[3, 4] = 7.0
+        per_entry = [
+            [[float(np.real(z)), float(np.imag(z))] for z in row] for row in M
+        ]
+        payload = json.dumps(per_entry, separators=(",", ":")).encode()
+        assert _matrix_digest(M) == hashlib.sha256(payload).hexdigest()
+        assert _matrix_digest(M.real) == _matrix_digest(M.real.astype(complex))
+
+
+class TestMalformedProblemMessages:
+    """Each rejected matrix names its first offending entry, exit 2."""
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ("[[1, true], [0, 1]]", "matrix[1][2]: expected a number or a "
+             "[real, imag] pair, got True"),
+            ("[[1, 0], [0, Infinity]]", "matrix[2][2]: entries must be finite"),
+            ("[[1, NaN], [0, -Infinity]]", "matrix[1][2]: entries must be finite"),
+            ("[[[1, 0], [0, NaN]], [[0, 0], [1, 0]]]",
+             "matrix[1][2]: entries must be finite"),
+            ("[[1, 0], [0]]", "matrix row 2: expected 2 entries"),
+            ("[[1, 0], 5]", "matrix row 2: expected 2 entries"),
+            ("[[1, [0, 1, 2]], [0, 1]]", "matrix[1][2]: expected a number or a "
+             "[real, imag] pair, got [0, 1, 2]"),
+            ("[[1, [0, true]], [0, 1]]", "matrix[1][2]: expected a number or a "
+             "[real, imag] pair, got [0, True]"),
+            ('[[1, ["0", 1]], [0, 1]]', "matrix[1][2]: expected a number or a "
+             "[real, imag] pair, got ['0', 1]"),
+            # the first offending entry in row order wins over a later ragged row
+            ("[[1, true], [0]]", "matrix[1][2]: expected a number or a "
+             "[real, imag] pair, got True"),
+        ],
+    )
+    def test_message(self, capsys, tmp_path, matrix, message):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"matrix": {matrix}}}')
+        assert run_command(["eig", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_eigenvector_entry(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"matrix": [[1, 0], [0, 2]], "eigenbasis": '
+            '{"eigenvalues": [1, 2], "vectors": [[1, 0], [0, true]]}}'
+        )
+        assert run_command(["eig", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: eigenvectors[2][2]: expected a number or a "
+            "[real, imag] pair, got True\n"
+        )
 
 
 class TestSolveMcpCommand:
@@ -289,6 +368,18 @@ class TestVerifyCommand:
             ["verify", golden_path, "--method", "kalman", "--vector", "1,zap,0,0,0"]
         )
         assert code == 2
+
+    def test_overflowing_krylov_matrix_is_typed_error(self, capsys, tmp_path):
+        # A^2 b overflows to inf and the next power to nan: no rank exists.
+        path = tmp_path / "huge.json"
+        path.write_text('{"matrix": [[1e200, 0, 0], [0, 2e200, 0], [0, 0, 3e200]]}')
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = run_json(
+                capsys, "verify", str(path), "--method", "kalman", "--vector", "1,1,1"
+            )
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["error_type"] == "NumericalBreakdown"
 
 
 class TestOracleCommand:

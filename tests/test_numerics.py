@@ -6,6 +6,7 @@ from mincontrol import (
     EigensolveFailed,
     LeftEigenbasis,
     NotSimple,
+    NumericalBreakdown,
     controllability_matrix,
     is_simple,
     left_eigenbasis,
@@ -151,6 +152,22 @@ class TestNumericalRank:
         M = np.diag([1.0, 1e-6])
         assert numerical_rank(M, rank_tol=1e-3) == 1
         assert numerical_rank(M, rank_tol=1e-9) == 2
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf)])
+    def test_nonfinite_is_numerical_breakdown(self, bad):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with pytest.raises(NumericalBreakdown) as info:
+            numerical_rank(M)
+        assert not isinstance(info.value, ValueError)
+
+    def test_svd_failure_is_numerical_breakdown(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalBreakdown, match="SVD did not converge"):
+            numerical_rank(np.eye(2))
 
 
 class TestControllabilityMatrix:

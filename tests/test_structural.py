@@ -10,10 +10,13 @@ from mincontrol import (
     StateDigraph,
     StructuralMatrix,
     StructuralVector,
+    compatible_input,
     compatible_mscp_solution,
     is_structurally_controllable,
+    mscp_condensation,
     scc_dag,
     solve_mscp,
+    sparsest_input,
     state_digraph,
 )
 
@@ -201,3 +204,117 @@ class TestCompatibleSolution:
             pattern, StructuralVector.from_text("000")
         )
         assert str(witness) == "***"
+
+
+def _random_pattern_mask(rng, n):
+    """Sparse or dense n x n mask with empty rows/columns and a partial diagonal."""
+    density = rng.choice([0.0, 1.0 / n, 2.5 / n, 0.05, 0.3])
+    mask = rng.random((n, n)) < density
+    mask[np.diag_indices(n)] = rng.random(n) < rng.choice([0.0, 0.5, 1.0])
+    for axis in (0, 1):
+        emptied = rng.random(n) < 0.1
+        if axis == 0:
+            mask[emptied, :] = False
+        else:
+            mask[:, emptied] = False
+    return mask
+
+
+def _scipy_condensation(mask):
+    """Components, membership, non-top-linked flags and DAG edges via scipy."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = mask.shape[0]
+    # x_i -> x_j iff position (j, i) is a star: the adjacency is mask^T
+    _, labels = csgraph.connected_components(
+        sparse.csr_matrix(mask.T), directed=True, connection="strong"
+    )
+    groups = {}
+    for v, label in enumerate(labels, start=1):
+        groups.setdefault(label, []).append(v)
+    components = sorted(tuple(g) for g in groups.values())
+    index = {comp: ci for ci, comp in enumerate(components)}
+    membership = np.empty(n, dtype=int)
+    for comp in components:
+        membership[np.array(comp) - 1] = index[comp]
+    rows, cols = np.nonzero(mask)
+    src, dst = membership[cols], membership[rows]
+    keep = src != dst
+    edges = frozenset(zip(src[keep].tolist(), dst[keep].tolist()))
+    has_incoming = np.zeros(len(components), dtype=bool)
+    has_incoming[dst[keep]] = True
+    return (
+        tuple(components),
+        tuple(membership.tolist()),
+        tuple((~has_incoming).tolist()),
+        edges,
+    )
+
+
+class TestScipyCrossCheck:
+    """Seeded patterns, n = 1..300, against scipy's strong components."""
+
+    SIZES = (1, 2, 3, 300) + tuple(
+        int(n) for n in np.random.default_rng(2024).integers(1, 301, 36)
+    )
+
+    @pytest.mark.parametrize("case", range(len(SIZES)))
+    def test_condensation_matches_scipy(self, case):
+        n = self.SIZES[case]
+        rng = np.random.default_rng([17, case])
+        mask = _random_pattern_mask(rng, n)
+        numeric = np.where(mask, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+        variants = [
+            StructuralMatrix(n, n, mask.ravel()),  # numpy bools
+            StructuralMatrix(n, n, tuple(mask.astype(int).ravel().tolist())),
+            StructuralMatrix.from_numeric(numeric),
+        ]
+        components, membership, flags, edges = _scipy_condensation(mask)
+        expected_edges = frozenset(
+            (i + 1, j + 1) for j, i in zip(*np.nonzero(mask))
+        )
+        for pattern in variants:
+            assert pattern == variants[0]
+            assert all(type(m) is bool for m in pattern.mask)
+            assert pattern.stars == tuple(
+                (r + 1, c + 1) for r, c in zip(*np.nonzero(mask))
+            )
+            g = state_digraph(pattern)
+            assert g.edges == expected_edges
+            dag = scc_dag(g)
+            assert dag.components == components
+            assert dag.membership == membership
+            assert dag.non_top_linked == flags
+            assert dag.edges == edges
+        full = mask | np.eye(n, dtype=bool)
+        components, _, flags, _ = _scipy_condensation(full)
+        assert solve_mscp(StructuralMatrix(n, n, full.ravel())).support == tuple(
+            comp[0] for comp, flag in zip(components, flags) if flag
+        )
+
+    def test_vector_mask_is_python_bool(self):
+        for raw in (np.array([True, False, True]), (1, 0, 2), [0.0, 1.5, 0.0]):
+            v = StructuralVector(raw)
+            assert all(type(m) is bool for m in v.mask)
+            assert v.mask == tuple(bool(x) for x in raw)
+
+
+class TestCondensationHelpers:
+    def test_shared_condensation(self, golden_a):
+        pattern = golden_pattern(golden_a)
+        dag = mscp_condensation(pattern)
+        assert dag == scc_dag(state_digraph(pattern))
+        assert sparsest_input(dag) == solve_mscp(pattern)
+        reference = StructuralVector.from_text("*****")
+        assert compatible_input(dag, reference) == compatible_mscp_solution(
+            pattern, reference
+        )
+
+    def test_condensation_requires_self_loops(self):
+        with pytest.raises(MissingSelfLoops):
+            mscp_condensation(StructuralMatrix.from_rows(["0*", "**"]))
+
+    def test_compatible_input_length_mismatch(self, golden_a):
+        dag = mscp_condensation(golden_pattern(golden_a))
+        with pytest.raises(DimensionMismatch):
+            compatible_input(dag, StructuralVector.from_text("**"))

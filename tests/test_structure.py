@@ -195,3 +195,11 @@ class TestStructuralMatrixType:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             StructuralMatrix(2, 2, (True, False, True))
+
+    def test_stars_of_nonsquare_pattern(self):
+        rows = ["0*0", "*0*"]
+        expected = ((1, 2), (2, 1), (2, 3))
+        assert StructuralMatrix.from_rows(rows).stars == expected
+        numeric = StructuralMatrix.from_numeric([[0.0, 2.0, 0.0], [1.0, 0.0, -1.0]])
+        assert numeric == StructuralMatrix.from_rows(rows)
+        assert numeric.stars == expected
