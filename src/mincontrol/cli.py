@@ -36,7 +36,7 @@ from .mcp import (
 from .numerics import LeftEigenbasis, left_eigenbasis, perturb_nonzero
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
-from .structural import compatible_input, mscp_condensation, sparsest_input
+from .structural import _compatible_input, _mscp_condensation, _sparsest_input
 from .structure import StructuralMatrix, structural_geq, structural_pattern
 from .tolerances import DEFAULT_ZERO_TOL, Tolerances
 from .verify import kalman_test, pbh_eigenvalue_test, pbh_eigenvector_test
@@ -396,8 +396,8 @@ def _cmd_solve_mscp(args) -> tuple[int, dict]:
     tol, _ = _effective_tolerances(args, pf)
     report = _base_report("solve-mscp", args.problem, pf, tol)
     a_pattern = StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol)
-    dag = mscp_condensation(a_pattern)
-    b_pattern = sparsest_input(dag)
+    dag = _mscp_condensation(a_pattern)
+    b_pattern = _sparsest_input(dag)
     report.update(
         {
             "matrix_pattern": [str(a_pattern.row(i)) for i in range(1, pf.n + 1)],
@@ -478,8 +478,8 @@ def _cmd_compare(args) -> tuple[int, dict]:
     pf = load_problem(args.problem)
     tol, _ = _effective_tolerances(args, pf)
     report = _base_report("compare", args.problem, pf, tol)
-    dag = mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
-    mscp_pattern = sparsest_input(dag)
+    dag = _mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
+    mscp_pattern = _sparsest_input(dag)
     basis, _ = _resolve_basis(pf, pf.matrix, tol)
     solution = solve_mcp(
         pf.matrix,
@@ -490,7 +490,7 @@ def _cmd_compare(args) -> tuple[int, dict]:
         rank_tol=tol.rank_tol,
         exact_limit=args.exact_limit,
     )
-    witness = compatible_input(dag, solution.pattern)
+    witness = _compatible_input(dag, solution.pattern)
     report.update(
         {
             "mcp": {
@@ -580,8 +580,9 @@ def _render_text(report: dict) -> str:
         )
         ver = sol["verification"]
         if ver["kalman"] is not None:
+            rank = ver["kalman"]["rank"]
             lines.append(
-                f"kalman rank: {ver['kalman']['rank']} "
+                f"kalman rank: {'undefined' if rank is None else rank} "
                 f"controllable: {ver['kalman']['controllable']}"
             )
         if not ver["consistent"]:

@@ -341,9 +341,10 @@ def solve_mcp(
         certificate=report,
     )
     if not report.controllable:
+        rank = report.kalman.rank if report.kalman else "n/a"
         raise VerificationFailed(
             "the realized vector failed the controllability certificate "
-            f"(kalman rank {report.kalman.rank if report.kalman else 'n/a'}); "
+            f"(kalman rank {'undefined' if rank is None else rank}); "
             "check the tolerance configuration",
             report=report,
             solution=solution,

@@ -16,7 +16,7 @@ from .mcp import RealizationConfig, realize, support_from_cover
 from .numerics import as_square_matrix, left_eigenbasis
 from .structure import structural_pattern
 from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL, DEFAULT_ZERO_TOL
-from .verify import kalman_test
+from .verify import _kalman_verdict
 
 #: Enumeration is 2^n; keep the default ceiling modest.
 DEFAULT_SIZE_LIMIT = 12
@@ -65,7 +65,7 @@ def brute_force_mcp(
         verdicts = []
         for combo in feasible:
             b = realize(support_from_cover(combo, n), basis.vectors, config, zero_tol)
-            verdicts.append(kalman_test(A, b, rank_tol).controllable)
+            verdicts.append(_kalman_verdict(A, b, rank_tol).controllable)
         return OracleResult(
             min_support_size=k,
             optimal_supports=tuple(feasible),

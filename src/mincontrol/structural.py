@@ -113,7 +113,7 @@ def _tarjan_components(n: int, adjacency: list[list[int]]) -> list[list[int]]:
 def scc_dag(g: StateDigraph) -> SccDag:
     """Condense a digraph and flag the components with no incoming edge."""
     adjacency: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for i, j in sorted(g.edges):
+    for i, j in g.edges:
         adjacency[i].append(j)
     components = _tarjan_components(g.n, adjacency)
     components.sort(key=lambda c: c[0])
@@ -150,7 +150,7 @@ def _require_full_diagonal(pattern: StructuralMatrix):
         )
 
 
-def mscp_condensation(pattern: StructuralMatrix) -> SccDag:
+def _mscp_condensation(pattern: StructuralMatrix) -> SccDag:
     """Condensation of a full-diagonal pattern's state digraph.
 
     Raises MissingSelfLoops when a diagonal position is zero, since the
@@ -160,13 +160,13 @@ def mscp_condensation(pattern: StructuralMatrix) -> SccDag:
     return scc_dag(state_digraph(pattern))
 
 
-def sparsest_input(dag: SccDag) -> StructuralVector:
+def _sparsest_input(dag: SccDag) -> StructuralVector:
     """One star per non-top-linked component, at its lowest-index vertex."""
     support = [comp[0] for comp in dag.non_top_linked_components]
     return StructuralVector.from_support(support, len(dag.membership))
 
 
-def compatible_input(dag: SccDag, reference: StructuralVector) -> StructuralVector:
+def _compatible_input(dag: SccDag, reference: StructuralVector) -> StructuralVector:
     """A sparsest input dominated by ``reference`` where possible.
 
     Per non-top-linked component, the lowest vertex ``reference``
@@ -189,14 +189,14 @@ def solve_mscp(pattern: StructuralMatrix) -> StructuralVector:
     Places one star per non-top-linked component, at its lowest-index
     vertex; no sparser pattern can reach every such component.
     """
-    return sparsest_input(mscp_condensation(pattern))
+    return _sparsest_input(_mscp_condensation(pattern))
 
 
 def is_structurally_controllable(
     pattern: StructuralMatrix, b_pattern: StructuralVector
 ) -> bool:
     """Whether the input pattern feeds every non-top-linked component."""
-    dag = mscp_condensation(pattern)
+    dag = _mscp_condensation(pattern)
     if len(b_pattern) != pattern.rows:
         raise DimensionMismatch(
             f"input pattern length {len(b_pattern)} != {pattern.rows}"
@@ -217,4 +217,4 @@ def compatible_mscp_solution(
     per component, the lowest vertex the reference pattern already
     actuates, falling back to the component's lowest vertex.
     """
-    return compatible_input(mscp_condensation(pattern), reference)
+    return _compatible_input(_mscp_condensation(pattern), reference)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,15 +88,11 @@ class StructuralMatrix:
         mags = np.abs(A)
         peak = mags.max(initial=0.0)
         mask = (mags > zero_tol * peak) if peak > 0 else np.zeros_like(mags, bool)
-        # tolist() already yields Python bools, and the stars come from
-        # numpy in O(nnz): skip the per-entry normalization and scan.
+        # tolist() already yields Python bools: skip the per-entry
+        # normalization in __post_init__.
         pattern = object.__new__(cls)
-        star_rows, star_cols = np.nonzero(mask)
         pattern.__dict__.update(
-            rows=A.shape[0],
-            cols=A.shape[1],
-            mask=tuple(mask.ravel().tolist()),
-            stars=tuple(zip((star_rows + 1).tolist(), (star_cols + 1).tolist())),
+            rows=A.shape[0], cols=A.shape[1], mask=tuple(mask.ravel().tolist())
         )
         return pattern
 
@@ -126,11 +121,9 @@ class StructuralMatrix:
     @cached_property
     def stars(self) -> tuple[tuple[int, int], ...]:
         """1-based (row, col) positions of the stars, in row-major order."""
-        cols = self.cols
-        return tuple(
-            (p // cols + 1, p % cols + 1)
-            for p in compress(range(len(self.mask)), self.mask)
-        )
+        flat = np.flatnonzero(np.frombuffer(bytearray(self.mask), dtype=bool))
+        rows, cols = np.divmod(flat, self.cols)
+        return tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NumericalBreakdown
 from .numerics import (
     LeftEigenbasis,
     as_square_matrix,
@@ -37,8 +37,10 @@ class PbhEigenvectorResult:
 
 @dataclass(frozen=True)
 class KalmanResult:
+    """``rank`` is None when the Krylov matrix broke down (inconclusive)."""
+
     controllable: bool
-    rank: int
+    rank: int | None
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,19 @@ def kalman_test(A, b, rank_tol: float | None = None) -> KalmanResult:
     return KalmanResult(controllable=rank == n, rank=rank)
 
 
+def _kalman_verdict(A, b, rank_tol: float | None = None) -> KalmanResult:
+    """``kalman_test``, with a NumericalBreakdown recorded as inconclusive.
+
+    A breakdown (say, a Krylov matrix that overflowed) certifies nothing,
+    so the verdict is "not controllable" with an undefined rank; callers
+    that need the typed error call ``kalman_test`` directly.
+    """
+    try:
+        return kalman_test(A, b, rank_tol)
+    except NumericalBreakdown:
+        return KalmanResult(controllable=False, rank=None)
+
+
 def verification_report(
     b,
     A=None,
@@ -142,7 +157,7 @@ def verification_report(
     """Run every test the available data permits and bundle the verdicts."""
     if A is None and basis is None:
         raise ValueError("verification needs a matrix, an eigenbasis, or both")
-    kalman = kalman_test(A, b, rank_tol) if A is not None else None
+    kalman = _kalman_verdict(A, b, rank_tol) if A is not None else None
     pbh_vec = pbh_eigenvector_test(basis, b, tau) if basis is not None else None
     pbh_val = (
         pbh_eigenvalue_test(A, b, basis.eigenvalues, rank_tol)

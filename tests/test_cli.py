@@ -311,6 +311,26 @@ class TestSolveMcpCommand:
     def test_bad_flag_exits_two(self, capsys, golden_path):
         assert run_command(["solve-mcp", golden_path, "--mode", "quantum"]) == 2
 
+    def test_overflowing_krylov_matrix_keeps_support(self, capsys, tmp_path):
+        # The cover and realization succeed; only the Kalman step breaks
+        # down, so the found support is reported as unverifiable.
+        path = tmp_path / "huge.json"
+        path.write_text('{"matrix": [[1e200, 0, 0], [0, 2e200, 0], [0, 0, 3e200]]}')
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = run_json(capsys, "solve-mcp", str(path))
+            text_code = run_command(["solve-mcp", str(path)])
+        out = capsys.readouterr().out
+        assert code == text_code == 1
+        assert report["status"] == "unverifiable"
+        assert "kalman rank undefined" in report["message"]
+        assert report["solution"]["support"] == [1, 2, 3]
+        verification = report["solution"]["verification"]
+        assert verification["kalman"] == {"controllable": False, "rank": None}
+        assert verification["pbh_eigenvector"]["controllable"]
+        assert "kalman rank: undefined controllable: False" in out
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, SCHEMA)
+
 
 class TestSolveMscpCommand:
     def test_worked_example(self, capsys, golden_path):

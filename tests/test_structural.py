@@ -10,13 +10,10 @@ from mincontrol import (
     StateDigraph,
     StructuralMatrix,
     StructuralVector,
-    compatible_input,
     compatible_mscp_solution,
     is_structurally_controllable,
-    mscp_condensation,
     scc_dag,
     solve_mscp,
-    sparsest_input,
     state_digraph,
 )
 
@@ -205,6 +202,12 @@ class TestCompatibleSolution:
         )
         assert str(witness) == "***"
 
+    def test_length_mismatch(self, golden_a):
+        with pytest.raises(DimensionMismatch):
+            compatible_mscp_solution(
+                golden_pattern(golden_a), StructuralVector.from_text("**")
+            )
+
 
 def _random_pattern_mask(rng, n):
     """Sparse or dense n x n mask with empty rows/columns and a partial diagonal."""
@@ -297,24 +300,3 @@ class TestScipyCrossCheck:
             v = StructuralVector(raw)
             assert all(type(m) is bool for m in v.mask)
             assert v.mask == tuple(bool(x) for x in raw)
-
-
-class TestCondensationHelpers:
-    def test_shared_condensation(self, golden_a):
-        pattern = golden_pattern(golden_a)
-        dag = mscp_condensation(pattern)
-        assert dag == scc_dag(state_digraph(pattern))
-        assert sparsest_input(dag) == solve_mscp(pattern)
-        reference = StructuralVector.from_text("*****")
-        assert compatible_input(dag, reference) == compatible_mscp_solution(
-            pattern, reference
-        )
-
-    def test_condensation_requires_self_loops(self):
-        with pytest.raises(MissingSelfLoops):
-            mscp_condensation(StructuralMatrix.from_rows(["0*", "**"]))
-
-    def test_compatible_input_length_mismatch(self, golden_a):
-        dag = mscp_condensation(golden_pattern(golden_a))
-        with pytest.raises(DimensionMismatch):
-            compatible_input(dag, StructuralVector.from_text("**"))

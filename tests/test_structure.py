@@ -203,3 +203,4 @@ class TestStructuralMatrixType:
         numeric = StructuralMatrix.from_numeric([[0.0, 2.0, 0.0], [1.0, 0.0, -1.0]])
         assert numeric == StructuralMatrix.from_rows(rows)
         assert numeric.stars == expected
+        assert StructuralMatrix(2, 3, (False,) * 6).stars == ()

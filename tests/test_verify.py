@@ -4,7 +4,10 @@ import pytest
 from mincontrol import (
     DimensionMismatch,
     LeftEigenbasis,
+    NumericalBreakdown,
+    brute_force_mcp,
     kalman_test,
+    left_eigenbasis,
     pbh_eigenvalue_test,
     pbh_eigenvector_test,
     solve_mcp,
@@ -97,8 +100,6 @@ class TestEquivalence:
 
     def test_random_pairs_agree(self):
         rng = np.random.default_rng(77)
-        from mincontrol import left_eigenbasis
-
         disagreements = []
         for _ in range(40):
             n = int(rng.integers(3, 7))
@@ -134,6 +135,22 @@ class TestVerificationReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             verification_report(B_WORKED)
+
+    def test_kalman_breakdown_is_inconclusive(self):
+        # [b, Ab, A^2 b] overflows: kalman_test raises, the report and the
+        # oracle record an undefined rank and a negative verdict instead.
+        A = np.diag([1e200, 2e200, 3e200])
+        b = np.ones(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalBreakdown):
+                kalman_test(A, b)
+            report = verification_report(b, A=A, basis=left_eigenbasis(A))
+            oracle = brute_force_mcp(A)
+        assert report.kalman.rank is None
+        assert not report.kalman.controllable
+        assert not report.controllable
+        assert report.pbh_eigenvector.controllable
+        assert oracle.kalman_verdicts == (False,)
 
     def test_tolerances_recorded(self, golden_a, integer_basis):
         report = verification_report(
