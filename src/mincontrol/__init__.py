@@ -28,7 +28,6 @@ from .mcp import (
     RealizationConfig,
     RealizationStats,
     build_cover_instance,
-    realize,
     realize_with_stats,
     solve_mcp,
     support_from_cover,
@@ -102,7 +101,6 @@ __all__ = [
     "RealizationConfig",
     "RealizationStats",
     "build_cover_instance",
-    "realize",
     "realize_with_stats",
     "solve_mcp",
     "support_from_cover",

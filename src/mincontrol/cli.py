@@ -27,12 +27,7 @@ from .errors import (
     ParseError,
     VerificationFailed,
 )
-from .mcp import (
-    McpSolution,
-    RealizationConfig,
-    build_cover_instance,
-    solve_mcp,
-)
+from .mcp import McpSolution, RealizationConfig, solve_mcp
 from .numerics import LeftEigenbasis, left_eigenbasis, perturb_nonzero
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
@@ -89,15 +84,19 @@ class ProblemFile:
 
 def _decode_entry(raw, where: str) -> complex:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        value = complex(raw)
+        parts = (raw,)
     elif (
         isinstance(raw, list)
         and len(raw) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
     ):
-        value = complex(raw[0], raw[1])
+        parts = raw
     else:
         raise ParseError(f"{where}: expected a number or a [real, imag] pair, got {raw!r}")
+    try:
+        value = complex(*parts)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(f"{where}: entries must be finite") from None
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise ParseError(f"{where}: entries must be finite")
     return value
@@ -116,14 +115,17 @@ def _decode_rows(raw, n_rows: int, n_cols: int, where: str) -> np.ndarray:
         entries = list(chain.from_iterable(raw))
         kinds = set(map(type, entries))
         values = None
-        if kinds <= _NUMBER_TYPES:
-            values = np.array(raw, dtype=float).astype(complex)
-        elif (
-            kinds == {list}
-            and set(map(len, entries)) == {2}
-            and set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES
-        ):
-            values = np.array(raw, dtype=float).view(complex)[..., 0]
+        try:
+            if kinds <= _NUMBER_TYPES:
+                values = np.array(raw, dtype=float).astype(complex)
+            elif (
+                kinds == {list}
+                and set(map(len, entries)) == {2}
+                and set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES
+            ):
+                values = np.array(raw, dtype=float).view(complex)[..., 0]
+        except OverflowError:  # worded below, at the offending entry
+            values = None
         if values is not None and np.isfinite(values).all():
             return values
     out = np.empty((n_rows, n_cols), dtype=complex)
@@ -173,7 +175,12 @@ def _load_json_problem(text: str, path: str) -> ProblemFile:
                 raise ParseError(f"{path}: unknown tolerance {key!r}")
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ParseError(f"{path}: tolerance {key} must be a number")
-            overrides[key] = float(val)
+            try:
+                overrides[key] = float(val)
+            except OverflowError:
+                raise ParseError(
+                    f"{path}: tolerance {key} is beyond the float range"
+                ) from None
     return ProblemFile(n, matrix, eigenvalues, eigenvectors, overrides)
 
 
@@ -357,26 +364,13 @@ def _cmd_solve_mcp(args) -> tuple[int, dict]:
     basis, basis_source = _resolve_basis(
         pf, matrix, tol, allow_file_basis=perturbation is None
     )
-    patterns = [structural_pattern(v, tol.zero_tol) for v in basis.vectors]
-    instance = build_cover_instance(patterns)
-    report.update(
-        {
-            "eigenbasis_source": basis_source,
-            "eigenvalues": _complex2j(basis.eigenvalues),
-            "eigenvector_patterns": [str(p) for p in patterns],
-            "cover_instance": {
-                "universe": sorted(instance.universe),
-                "sets": [sorted(s) for s in instance.sets],
-            },
-        }
-    )
-    config = RealizationConfig(tau=tol.tau)
+    code = 0
     try:
         solution = solve_mcp(
             matrix,
             basis=basis,
             mode=args.mode,
-            config=config,
+            config=RealizationConfig(tau=tol.tau),
             zero_tol=tol.zero_tol,
             rank_tol=tol.rank_tol,
             exact_limit=args.exact_limit,
@@ -384,11 +378,21 @@ def _cmd_solve_mcp(args) -> tuple[int, dict]:
     except VerificationFailed as exc:
         report["status"] = "unverifiable"
         report["message"] = str(exc)
-        if exc.solution is not None:
-            report["solution"] = _solution_to_dict(exc.solution)
-        return 1, report
-    report["solution"] = _solution_to_dict(solution)
-    return 0, report
+        solution, code = exc.solution, 1
+    instance = solution.cover_instance
+    report.update(
+        {
+            "eigenbasis_source": basis_source,
+            "eigenvalues": _complex2j(basis.eigenvalues),
+            "eigenvector_patterns": [str(p) for p in solution.eigenvector_patterns],
+            "cover_instance": {
+                "universe": sorted(instance.universe),
+                "sets": [sorted(s) for s in instance.sets],
+            },
+            "solution": _solution_to_dict(solution),
+        }
+    )
+    return code, report
 
 
 def _cmd_solve_mscp(args) -> tuple[int, dict]:

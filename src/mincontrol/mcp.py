@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     Infeasible,
-    IndexOutOfRange,
     NotSimple,
     RepairFailed,
     VerificationFailed,
@@ -94,16 +93,25 @@ class RealizationStats:
 
 @dataclass(frozen=True, eq=False)
 class McpSolution:
-    """Chosen support, its pattern, the realized vector, and the certificate."""
+    """Chosen support, its pattern, the realized vector, and the certificate.
+
+    ``eigenvector_patterns`` and ``cover_instance`` are the stages the
+    solve built on the way: one pattern per left eigenvector, in basis
+    order, and the set-cover instance reduced from them.
+    """
 
     cover_indices: frozenset[int]
     pattern: StructuralVector
     vector: np.ndarray
     mode: str
     certificate: VerificationReport
+    eigenvector_patterns: tuple[StructuralVector, ...]
+    cover_instance: SetCoverInstance
 
     def __post_init__(self):
         object.__setattr__(self, "cover_indices", frozenset(self.cover_indices))
+        patterns = tuple(self.eigenvector_patterns)
+        object.__setattr__(self, "eigenvector_patterns", patterns)
         vec = np.asarray(self.vector, dtype=complex)
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
@@ -148,12 +156,7 @@ def build_cover_instance(patterns: Sequence[StructuralVector]) -> SetCoverInstan
 
 def support_from_cover(indices: Iterable[int], n: int) -> StructuralVector:
     """Pattern of length n with stars exactly at the chosen positions."""
-    mask = [False] * n
-    for i in indices:
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"position {i} outside 1..{n}")
-        mask[i - 1] = True
-    return StructuralVector(tuple(mask))
+    return StructuralVector.from_support(indices, n)
 
 
 def _orthogonality_violation(bp, restricted, tau) -> int | None:
@@ -183,7 +186,15 @@ def realize_with_stats(
     config: RealizationConfig | None = None,
     zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> tuple[np.ndarray, RealizationStats]:
-    """Like :func:`realize`, also returning iteration counts."""
+    """Numerical vector matching ``pattern``, non-orthogonal to every vector.
+
+    Follows the bounded accumulate-and-repair construction: restrict the
+    vectors to the support, add them up with re-alignment whenever a
+    partial sum turns orthogonal to a processed vector, then repair any
+    zero entries. Returns the vector with the iteration counts. Raises
+    Infeasible when some vector vanishes on the support (no solution
+    exists) and RepairFailed when an iteration bound is exhausted.
+    """
     cfg = config if config is not None else RealizationConfig()
     n = len(pattern)
     vecs = [as_vector(v, n) for v in vectors]
@@ -268,25 +279,6 @@ def realize_with_stats(
     return b, RealizationStats(tuple(step3_counts), step4_counts)
 
 
-def realize(
-    pattern: StructuralVector,
-    vectors: Sequence,
-    config: RealizationConfig | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> np.ndarray:
-    """Numerical vector matching ``pattern``, non-orthogonal to every vector.
-
-    Follows the bounded accumulate-and-repair construction: restrict the
-    vectors to the support, add them up with re-alignment whenever a
-    partial sum turns orthogonal to a processed vector, then repair any
-    zero entries. Raises Infeasible when some vector vanishes on the
-    support (no solution exists) and RepairFailed when an iteration
-    bound is exhausted.
-    """
-    b, _ = realize_with_stats(pattern, vectors, config, zero_tol)
-    return b
-
-
 def solve_mcp(
     A=None,
     *,
@@ -323,15 +315,14 @@ def solve_mcp(
             raise NotSimple("supplied eigenvalues are not pairwise distinct")
         if A is not None:
             check_residuals(A, basis, residual_tol)
-    n = basis.n
 
     patterns = [structural_pattern(v, zero_tol) for v in basis.vectors]
     instance = build_cover_instance(patterns)
     cover: CoverSolution = (
         solve_exact(instance, exact_limit) if mode == "exact" else solve_greedy(instance)
     )
-    pattern = support_from_cover(cover.indices, n)
-    b = realize(pattern, basis.vectors, cfg, zero_tol)
+    pattern = StructuralVector.from_support(cover.indices, basis.n)
+    b, _ = realize_with_stats(pattern, basis.vectors, cfg, zero_tol)
     report = verification_report(A=A, b=b, basis=basis, rank_tol=rank_tol, tau=cfg.tau)
     solution = McpSolution(
         cover_indices=cover.indices,
@@ -339,6 +330,8 @@ def solve_mcp(
         vector=b,
         mode=mode,
         certificate=report,
+        eigenvector_patterns=patterns,
+        cover_instance=instance,
     )
     if not report.controllable:
         rank = report.kalman.rank if report.kalman else "n/a"

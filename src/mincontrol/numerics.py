@@ -127,10 +127,6 @@ class LeftEigenbasis:
     def __iter__(self):
         return zip(self.eigenvalues, self.vectors)
 
-    @property
-    def pairs(self) -> tuple:
-        return tuple(zip(self.eigenvalues, self.vectors))
-
 
 def check_residuals(
     A, basis: LeftEigenbasis, residual_tol: float = DEFAULT_RESIDUAL_TOL

@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import TooLarge, ZeroPattern
-from .mcp import RealizationConfig, realize, support_from_cover
+from .mcp import RealizationConfig, realize_with_stats
 from .numerics import as_square_matrix, left_eigenbasis
-from .structure import structural_pattern
+from .structure import StructuralVector, structural_pattern
 from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL, DEFAULT_ZERO_TOL
 from .verify import _kalman_verdict
 
@@ -64,7 +64,8 @@ def brute_force_mcp(
             continue
         verdicts = []
         for combo in feasible:
-            b = realize(support_from_cover(combo, n), basis.vectors, config, zero_tol)
+            pattern = StructuralVector.from_support(combo, n)
+            b, _ = realize_with_stats(pattern, basis.vectors, config, zero_tol)
             verdicts.append(_kalman_verdict(A, b, rank_tol).controllable)
         return OracleResult(
             min_support_size=k,

@@ -3,11 +3,11 @@
 Set indices are 1-based throughout the public interface, matching the
 customary S_1..S_n naming. The exact solver is deterministic: among all
 minimum-cardinality covers it returns the lexicographically smallest
-index set.
+index set. It finds the optimal size by branch-and-bound, then rebuilds
+the lexicographically smallest cover of that size.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import ceil
 from typing import Iterable
@@ -16,10 +16,6 @@ from .errors import IndexOutOfRange, TooLarge
 
 #: Largest universe the exact solver accepts by default.
 EXACT_UNIVERSE_LIMIT = 30
-
-#: Families up to this many sets are solved by plain cardinality-ascending
-#: enumeration; beyond it, branch-and-bound finds the optimal size first.
-_EXHAUSTIVE_SET_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -202,11 +198,9 @@ def solve_exact(
 ) -> CoverSolution:
     """Minimum-cardinality cover, lexicographically smallest on ties.
 
-    Families of at most 20 sets are solved by cardinality-ascending
-    enumeration (the first cover met in lexicographic order is the
-    answer); larger families go through branch-and-bound for the optimal
-    size followed by a lexicographic reconstruction. Raises TooLarge when
-    the universe exceeds ``exact_limit`` elements.
+    Branch-and-bound finds the optimal size, then a lexicographic
+    reconstruction picks the cover. Raises TooLarge when the universe
+    exceeds ``exact_limit`` elements.
     """
     if len(instance.universe) > exact_limit:
         raise TooLarge(
@@ -216,16 +210,6 @@ def solve_exact(
     if not instance.universe:
         return CoverSolution(frozenset(), exact=True)
     universe, masks = _to_masks(instance)
-    n = len(masks)
-    if n <= _EXHAUSTIVE_SET_LIMIT:
-        for k in range(1, n + 1):
-            for combo in itertools.combinations(range(n), k):
-                covered = 0
-                for i in combo:
-                    covered |= masks[i]
-                if covered == universe:
-                    return CoverSolution(frozenset(i + 1 for i in combo), exact=True)
-        raise AssertionError("unreachable: instance invariant guarantees a cover")
     k = _min_cover_size(universe, masks)
     combo = _lex_smallest_cover(universe, masks, k)
     return CoverSolution(frozenset(i + 1 for i in combo), exact=True)

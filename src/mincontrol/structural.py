@@ -25,9 +25,6 @@ class StateDigraph:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise DimensionMismatch(f"edge ({i},{j}) outside 1..{self.n}")
 
-    def successors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(j for i, j in self.edges if i == v))
-
 
 @dataclass(frozen=True)
 class SccDag:

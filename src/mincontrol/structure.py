@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySupport
+from .errors import DimensionMismatch, EmptySupport, IndexOutOfRange
 from .tolerances import DEFAULT_ZERO_TOL
 
 _STAR = "*"
@@ -43,7 +43,7 @@ class StructuralVector:
         mask = [False] * n
         for i in support:
             if not 1 <= i <= n:
-                raise DimensionMismatch(f"position {i} outside 1..{n}")
+                raise IndexOutOfRange(f"position {i} outside 1..{n}")
             mask[i - 1] = True
         return cls(tuple(mask))
 

@@ -1,0 +1,31 @@
+"""The benchmark's staged pipeline still runs against this source tree.
+
+``benchmarks/worker.py`` times the program's stages by calling public
+functions by name (``Program.staged``). This runs that pipeline on two
+small inputs of each workload and checks that it reaches the same
+outcome and support as the operation the benchmark times
+(``Program.run``), so a renamed or re-signed stage fails here rather
+than only in the benchmark's own, slower self-tests.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+from worker import NullTracer, Program  # noqa: E402
+from workloads import WORKLOADS, tiny, write_input  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_staged_pipeline_agrees_with_the_operation(name, tmp_path):
+    w = tiny(WORKLOADS[name])
+    program = Program(REPO_ROOT, w.family, w.exact_limit_n)
+    for k in range(2):
+        item = program.prepare(write_input(w, 1, k, tmp_path), w.size(k))
+        outcome, support, _ = program.classify(program.run(item))
+        staged_outcome, staged_support, _ = program.staged(item, NullTracer(), k)
+        assert (staged_outcome, staged_support) == (outcome, support)
+        assert support

@@ -204,6 +204,40 @@ class TestMalformedProblemMessages:
         )
 
 
+class TestOverflowingIntegerLiterals:
+    """A JSON integer beyond the float range is a parse error, exit 2."""
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"matrix": [[1, 0], [0, HUGE]]}', "matrix[2][2]: entries must be finite"),
+            (
+                '{"matrix": [[1, [0, HUGE]], [0, 2]]}',
+                "matrix[1][2]: entries must be finite",
+            ),
+            (
+                '{"matrix": [[1, 0], [0, 2]], "eigenbasis": '
+                '{"eigenvalues": [1, HUGE], "vectors": [[1, 0], [0, 1]]}}',
+                "eigenvalue 2: entries must be finite",
+            ),
+            (
+                '{"matrix": [[1, 0], [0, 2]], "tolerances": {"zero_tol": HUGE}}',
+                "tolerance zero_tol is beyond the float range",
+            ),
+        ],
+        ids=["matrix-entry", "pair", "eigenvalue", "tolerance"],
+    )
+    def test_parse_error(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "huge_int.json"
+        path.write_text(doc.replace("HUGE", self.HUGE))
+        assert run_command(["solve-mcp", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
+
+
 class TestSolveMcpCommand:
     def test_text_output_exit_zero(self, capsys, golden_path):
         code = run_command(["solve-mcp", golden_path])
@@ -328,6 +362,11 @@ class TestSolveMcpCommand:
         assert verification["kalman"] == {"controllable": False, "rank": None}
         assert verification["pbh_eigenvector"]["controllable"]
         assert "kalman rank: undefined controllable: False" in out
+        assert report["eigenvector_patterns"] == ["00*", "0*0", "*00"]
+        assert report["cover_instance"] == {
+            "universe": [1, 2, 3],
+            "sets": [[3], [2], [1]],
+        }
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(report, SCHEMA)
 

@@ -19,7 +19,6 @@ from mincontrol import (
     is_cover,
     kalman_test,
     perturb_nonzero,
-    realize,
     realize_with_stats,
     solve_mcp,
     structural_inner,
@@ -108,7 +107,7 @@ def test_reduction_equivalence(data):
 class TestRealize:
     def test_worked_support(self, golden_basis):
         pattern = StructuralVector.from_text("0***0")
-        b = realize(pattern, golden_basis.vectors)
+        b, _ = realize_with_stats(pattern, golden_basis.vectors)
         assert b[0] == 0 and b[4] == 0
         assert all(abs(b[i]) > 1e-6 for i in (1, 2, 3))
         assert abs(b[2] + b[3]) > 1e-6
@@ -116,7 +115,7 @@ class TestRealize:
             assert abs(np.vdot(v, b)) > 1e-10 * np.linalg.norm(v) * np.linalg.norm(b)
 
     def test_one_dimensional(self):
-        b = realize(StructuralVector.from_text("*"), [np.array([1.0])])
+        b, _ = realize_with_stats(StructuralVector.from_text("*"), [np.array([1.0])])
         assert b.shape == (1,) and b[0] != 0
 
     def test_random_feasible_instances(self):
@@ -125,7 +124,7 @@ class TestRealize:
             vectors = rng.normal(size=(5, 4)) * (rng.uniform(size=(5, 4)) > 0.4)
             vectors[:, 0] = rng.uniform(0.5, 1.5, size=5)  # keeps every vector feasible
             pattern = StructuralVector.from_text("*0**")
-            b = realize(pattern, list(vectors))
+            b, _ = realize_with_stats(pattern, list(vectors))
             assert str(StructuralVector(tuple(x != 0 for x in b))) == "*0**"
             for v in vectors:
                 assert abs(np.vdot(v, b)) > 1e-10 * np.linalg.norm(
@@ -136,15 +135,18 @@ class TestRealize:
         # second vector lives entirely outside the support
         vectors = [np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
         with pytest.raises(Infeasible):
-            realize(StructuralVector.from_text("**0"), vectors)
+            realize_with_stats(StructuralVector.from_text("**0"), vectors)
 
     def test_empty_pattern(self):
         with pytest.raises(Infeasible):
-            realize(StructuralVector.from_text("000"), [np.array([1.0, 0.0, 0.0])])
+            realize_with_stats(
+                StructuralVector.from_text("000"), [np.array([1.0, 0.0, 0.0])]
+            )
 
     def test_unconstrained_position_still_realized(self):
         # no vector touches position 2: its value is free, but it must be nonzero
-        b = realize(StructuralVector.from_text("**"), [np.array([1.0, 0.0])])
+        vectors = [np.array([1.0, 0.0])]
+        b, _ = realize_with_stats(StructuralVector.from_text("**"), vectors)
         assert b[0] != 0 and b[1] != 0
         assert abs(np.vdot(np.array([1.0, 0.0]), b)) > 1e-10 * np.linalg.norm(b)
 
@@ -153,7 +155,7 @@ class TestRealize:
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         cfg = RealizationConfig(tau=0.99)
         with pytest.raises(RepairFailed):
-            realize(StructuralVector.from_text("**"), vectors, cfg)
+            realize_with_stats(StructuralVector.from_text("**"), vectors, cfg)
 
     def test_iteration_bounds(self, golden_basis):
         pattern = StructuralVector.from_text("0***0")
@@ -184,13 +186,14 @@ class TestRealize:
 
     def test_complex_vectors(self):
         vectors = [np.array([1.0 + 1j, 0.5]), np.array([0.0, 2j])]
-        b = realize(StructuralVector.from_text("**"), vectors)
+        b, _ = realize_with_stats(StructuralVector.from_text("**"), vectors)
         for v in vectors:
             assert abs(np.vdot(v, b)) > 1e-10 * np.linalg.norm(v) * np.linalg.norm(b)
 
     def test_custom_multipliers(self, golden_basis):
         cfg = RealizationConfig(alpha=(1.0, 2.0, 1.0, 0.5, 1.0))
-        b = realize(StructuralVector.from_text("0***0"), golden_basis.vectors, cfg)
+        pattern = StructuralVector.from_text("0***0")
+        b, _ = realize_with_stats(pattern, golden_basis.vectors, cfg)
         assert all(b[i] != 0 for i in (1, 2, 3))
 
     def test_config_validation(self):
@@ -271,6 +274,12 @@ class TestSolveMcp:
             reference = brute_force_mcp(A)
             assert solution.size == reference.min_support_size
             assert solution.support in reference.optimal_supports
+
+    def test_carries_its_patterns_and_cover_instance(self, golden_a):
+        solution = solve_mcp(golden_a)
+        assert [str(p) for p in solution.eigenvector_patterns] == GOLDEN_PATTERNS
+        assert solution.cover_instance.universe == frozenset(range(1, 6))
+        assert [set(s) for s in solution.cover_instance.sets] == GOLDEN_COVER_SETS
 
     def test_realized_vector_matches_pattern_exactly(self, golden_a):
         solution = solve_mcp(golden_a)

@@ -80,11 +80,12 @@ class TestSolveExact:
         assert solve_exact(inst).sorted_indices == (1,)
 
     def test_singletons_force_all(self):
-        n = 6
-        inst = SetCoverInstance(
-            frozenset(range(1, n + 1)), tuple(frozenset({i}) for i in range(1, n + 1))
-        )
-        assert solve_exact(inst).sorted_indices == tuple(range(1, n + 1))
+        for n in (6, 20):
+            inst = SetCoverInstance(
+                frozenset(range(1, n + 1)),
+                tuple(frozenset({i}) for i in range(1, n + 1)),
+            )
+            assert solve_exact(inst).sorted_indices == tuple(range(1, n + 1))
 
     def test_lexicographic_tie_break(self):
         # optimal covers {1,4} and {2,3}; lexicographically {1,4} wins
@@ -128,7 +129,7 @@ class TestSolveExact:
             assert set(solve_exact(inst).indices) == brute_minimum(inst)
 
     def test_branch_and_bound_path(self):
-        # more than 20 sets exercises the B&B + lexicographic reconstruction
+        # 23 sets: a family too large to check by hand, small enough to enumerate
         import numpy as np
 
         rng = np.random.default_rng(1)
@@ -138,6 +139,32 @@ class TestSolveExact:
             want = brute_minimum(inst)
             assert len(got.indices) == len(want)
             assert set(got.indices) == want
+
+    def test_size_matches_milp(self):
+        # 21-40 sets over at most 20 elements; scipy's MILP gives the optimum
+        import numpy as np
+
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            inst = random_instance(
+                rng, int(rng.integers(21, 41)), int(rng.integers(5, 21))
+            )
+            elements = sorted(inst.universe)
+            incidence = np.array(
+                [[e in s for s in inst.sets] for e in elements], dtype=float
+            )
+            ones = np.ones(inst.n_sets)
+            reference = optimize.milp(
+                ones,
+                constraints=optimize.LinearConstraint(incidence, lb=1),
+                integrality=ones,
+                bounds=optimize.Bounds(0, 1),
+            )
+            assert reference.success
+            got = solve_exact(inst)
+            assert is_cover(inst, got.indices)
+            assert got.size == round(reference.fun)
 
     def test_deterministic(self):
         import numpy as np

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mincontrol import (
     DimensionMismatch,
     EmptySupport,
+    IndexOutOfRange,
     StructuralMatrix,
     StructuralVector,
     restrict,
@@ -174,6 +175,9 @@ class TestStructuralVectorType:
 
     def test_from_support(self):
         assert str(StructuralVector.from_support([2, 4], 5)) == "0*0*0"
+        for position in (0, 6):
+            with pytest.raises(IndexOutOfRange):
+                StructuralVector.from_support([2, position], 5)
 
     def test_empty_length_rejected(self):
         with pytest.raises(ValueError):
