@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     VerificationFailed,
 )
-from .mcp import McpSolution, RealizationConfig, solve_mcp
+from .mcp import McpSolution, RealizationConfig, _solve_on_basis
 from .numerics import LeftEigenbasis, left_eigenbasis, perturb_nonzero
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
@@ -366,9 +366,9 @@ def _cmd_solve_mcp(args) -> tuple[int, dict]:
     )
     code = 0
     try:
-        solution = solve_mcp(
+        solution = _solve_on_basis(
             matrix,
-            basis=basis,
+            basis,
             mode=args.mode,
             config=RealizationConfig(tau=tol.tau),
             zero_tol=tol.zero_tol,
@@ -485,9 +485,9 @@ def _cmd_compare(args) -> tuple[int, dict]:
     dag = _mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
     mscp_pattern = _sparsest_input(dag)
     basis, _ = _resolve_basis(pf, pf.matrix, tol)
-    solution = solve_mcp(
+    solution = _solve_on_basis(
         pf.matrix,
-        basis=basis,
+        basis,
         mode="exact",
         config=RealizationConfig(tau=tol.tau),
         zero_tol=tol.zero_tol,

@@ -36,12 +36,7 @@ from .setcover import (
     solve_exact,
     solve_greedy,
 )
-from .structure import (
-    StructuralVector,
-    restrict,
-    structural_inner,
-    structural_pattern,
-)
+from .structure import StructuralVector, _nonzero_mask, structural_pattern
 from .tolerances import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -159,25 +154,24 @@ def support_from_cover(indices: Iterable[int], n: int) -> StructuralVector:
     return StructuralVector.from_support(indices, n)
 
 
-def _orthogonality_violation(bp, restricted, tau) -> int | None:
+def _orthogonality_violation(bp, conj_restricted, norms, tau) -> int | None:
     """Index of the first vector numerically orthogonal to bp, if any.
 
-    The scale is relative to the restricted vectors: the procedure works
-    entirely inside the support subspace, so a vector whose restriction
-    is tiny still only needs a healthy angle there, not a large raw
-    inner product.
+    ``conj_restricted`` stacks the conjugated restricted vectors as rows
+    and ``norms`` holds their norms. The scale is relative to the
+    restricted vectors: the procedure works entirely inside the support
+    subspace, so a vector whose restriction is tiny still only needs a
+    healthy angle there, not a large raw inner product.
     """
     nb = np.linalg.norm(bp)
-    for i, r in enumerate(restricted):
-        if abs(np.vdot(bp, r)) <= tau * np.linalg.norm(r) * nb:
-            return i
-    return None
+    hits = np.flatnonzero(np.abs(conj_restricted @ bp) <= tau * norms * nb)
+    return int(hits[0]) if hits.size else None
 
 
 def _zero_entries(bp, tau, upto=None) -> list[int]:
     peak = np.abs(bp).max()
     head = bp if upto is None else bp[:upto]
-    return [k for k, x in enumerate(head) if abs(x) <= tau * peak]
+    return np.flatnonzero(np.abs(head) <= tau * peak).tolist()
 
 
 def realize_with_stats(
@@ -202,17 +196,24 @@ def realize_with_stats(
         raise Infeasible("the requested support is empty")
 
     # Step 1: the support must intersect every vector's nonzero pattern.
-    vec_patterns = [structural_pattern(v, zero_tol) for v in vecs]
-    for j, vp in enumerate(vec_patterns, start=1):
-        if not structural_inner(pattern, vp):
-            raise Infeasible(
-                f"vector {j} has no nonzero entry on the requested support"
-            )
+    stacked = np.array(vecs).reshape(len(vecs), n)
+    nonzero = _nonzero_mask(stacked, zero_tol)
+    on_support = np.asarray(pattern.mask, dtype=bool)
+    missed = np.flatnonzero(~nonzero[:, on_support].any(axis=1))
+    if missed.size:
+        raise Infeasible(
+            f"vector {missed[0] + 1} has no nonzero entry on the requested support"
+        )
 
-    # Step 2: work in the support subspace.
+    # Step 2: work in the support subspace, with the restricted vectors
+    # stacked as rows and their norms computed once.
     p = pattern.nnz
     support = pattern.support
-    restricted = [restrict(v, pattern) for v in vecs]
+    restricted = stacked[:, on_support]
+    conj_restricted = restricted.conj()
+    # Row by row, so each norm is the vector's own to the bit (a norm
+    # along axis=1 sums in another order and can differ in the last digit).
+    norms = np.array([np.linalg.norm(r) for r in restricted])
 
     # Step 3: accumulate multiples of the restricted vectors, nudging the
     # partial sum whenever it becomes orthogonal to a processed vector.
@@ -224,11 +225,12 @@ def realize_with_stats(
         bp = bp + alphas[j] * restricted[j]
         bound = j + 2
         count = 0
-        viol = _orthogonality_violation(bp, restricted[: j + 1], cfg.tau)
+        processed, processed_norms = conj_restricted[: j + 1], norms[: j + 1]
+        viol = _orthogonality_violation(bp, processed, processed_norms, cfg.tau)
         while viol is not None and count < bound:
             bp = bp + cfg.eps1 * restricted[viol]
             count += 1
-            viol = _orthogonality_violation(bp, restricted[: j + 1], cfg.tau)
+            viol = _orthogonality_violation(bp, processed, processed_norms, cfg.tau)
         if viol is not None:
             raise RepairFailed(
                 f"orthogonality to vector {viol + 1} persisted after {count} "
@@ -247,18 +249,16 @@ def realize_with_stats(
         if k not in _zero_entries(bp, cfg.tau):
             continue
         pos = support[k]
-        m = next(
-            (j for j, vp in enumerate(vec_patterns) if vp.mask[pos - 1]), None
-        )
-        if m is not None:
-            direction = restricted[m]
+        touching = np.flatnonzero(nonzero[:, pos - 1])
+        if touching.size:
+            direction = restricted[touching[0]]
         else:
             direction = np.zeros(p, dtype=complex)
             direction[k] = 1.0
         for mult in range(1, multiplier_bound + 1):
             bp = bp + cfg.eps2 * direction
             if not _zero_entries(bp, cfg.tau, upto=k + 1) and (
-                _orthogonality_violation(bp, restricted, cfg.tau) is None
+                _orthogonality_violation(bp, conj_restricted, norms, cfg.tau) is None
             ):
                 step4_counts[pos] = mult
                 break
@@ -269,7 +269,7 @@ def realize_with_stats(
             )
 
     if _zero_entries(bp, cfg.tau) or (
-        _orthogonality_violation(bp, restricted, cfg.tau) is not None
+        _orthogonality_violation(bp, conj_restricted, norms, cfg.tau) is not None
     ):
         raise RepairFailed("a residual violation survived the repair loops")
 
@@ -303,7 +303,6 @@ def solve_mcp(
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    cfg = config if config is not None else RealizationConfig()
     if A is None and basis is None:
         raise ValueError("either a matrix or an eigenbasis is required")
     if A is not None:
@@ -315,7 +314,33 @@ def solve_mcp(
             raise NotSimple("supplied eigenvalues are not pairwise distinct")
         if A is not None:
             check_residuals(A, basis, residual_tol)
+    return _solve_on_basis(
+        A,
+        basis,
+        mode=mode,
+        config=config,
+        zero_tol=zero_tol,
+        rank_tol=rank_tol,
+        exact_limit=exact_limit,
+    )
 
+
+def _solve_on_basis(
+    A,
+    basis: LeftEigenbasis,
+    *,
+    mode: str,
+    config: RealizationConfig | None,
+    zero_tol: float,
+    rank_tol: float | None,
+    exact_limit: int,
+) -> McpSolution:
+    """``solve_mcp`` on a basis already validated against A (when given).
+
+    ``mode`` must be valid. The CLI resolves and checks the basis under
+    its own tolerances, then solves here, so no check runs twice.
+    """
+    cfg = config if config is not None else RealizationConfig()
     patterns = [structural_pattern(v, zero_tol) for v in basis.vectors]
     instance = build_cover_instance(patterns)
     cover: CoverSolution = (

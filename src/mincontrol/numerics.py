@@ -1,7 +1,8 @@
 """Complex dense linear algebra: left-eigenbases, rank, reachability matrix.
 
-Matrices and vectors are plain numpy arrays (complex128); the validators
-here enforce the shape/finiteness invariants at operation boundaries.
+Matrices and vectors are plain numpy arrays (complex128; a real matrix
+is ranked in float64); the validators here enforce the shape/finiteness
+invariants at operation boundaries.
 The eigensolve relies on LAPACK's dense nonsymmetric driver via
 ``numpy.linalg.eig``, which is the standard Hessenberg + shifted-QR
 route; left eigenvectors are obtained as right eigenvectors of the
@@ -131,13 +132,19 @@ class LeftEigenbasis:
 def check_residuals(
     A, basis: LeftEigenbasis, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ):
-    """Raise EigensolveFailed if any pair violates ||v†A - lambda v†|| <= tol ||A||."""
+    """Raise EigensolveFailed if any pair violates ||v†A - lambda v†|| <= tol ||A||.
+
+    Raises NumericalBreakdown when the SVD giving ||A||_2 does not converge.
+    """
     A = as_square_matrix(A)
     if A.shape[0] != basis.n:
         raise DimensionMismatch(
             f"matrix is {A.shape[0]}x{A.shape[0]} but basis has {basis.n} pairs"
         )
-    scale = np.linalg.norm(A, 2)
+    try:
+        scale = np.linalg.svd(A, compute_uv=False)[0]  # ||A||_2
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"the 2-norm of the matrix failed: {exc}") from exc
     for j, (lam, v) in enumerate(basis, start=1):
         res = np.linalg.norm(v.conj() @ A - lam * v.conj())
         if res > residual_tol * scale * np.linalg.norm(v):
@@ -174,12 +181,13 @@ def left_eigenbasis(
         lead = int(np.argmax(mags > _PHASE_TOL * mags.max()))
         v = v * (abs(v[lead]) / v[lead])
         V[j] = v
-    if not is_simple(lam, gap_tol):
+    try:
+        basis = LeftEigenbasis(lam, V, source="computed", gap_tol=gap_tol)
+    except NotSimple as exc:
         raise NotSimple(
             "matrix eigenvalues are not pairwise distinct under gap_tol; "
             "the single-input placement problem needs a simple matrix"
-        )
-    basis = LeftEigenbasis(lam, V, source="computed", gap_tol=gap_tol)
+        ) from exc
     check_residuals(A, basis, residual_tol)
     return basis
 
@@ -188,10 +196,13 @@ def numerical_rank(M, rank_tol: float | None = None) -> int:
     """Number of singular values above ``rank_tol * sigma_max``.
 
     ``rank_tol=None`` uses ``eps * max(rows, cols)``. The zero matrix has
-    rank 0. Raises NumericalBreakdown when M has non-finite entries or
-    the SVD does not converge.
+    rank 0. A real (boolean, integer or floating) M stays real, so its
+    SVD runs in real arithmetic (float64); anything else is decided in
+    complex128. Raises NumericalBreakdown when M has non-finite entries
+    or the SVD does not converge.
     """
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M)
+    M = M.astype(float if M.dtype.kind in "biuf" else complex, copy=False)
     if M.ndim != 2 or M.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {M.shape}")
     if not np.isfinite(M).all():

@@ -142,13 +142,19 @@ def structural_pattern(v, zero_tol: float = DEFAULT_ZERO_TOL) -> StructuralVecto
         raise DimensionMismatch("expected a nonempty 1-d vector")
     if not np.all(np.isfinite(v.view(float) if np.iscomplexobj(v) else v)):
         raise ValueError("vector entries must be finite")
+    return StructuralVector(tuple(_nonzero_mask(v, zero_tol).tolist()))
+
+
+def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
+    """Boolean stars of a vector, or of each row of a 2-d stack of vectors.
+
+    The rule of ``structural_pattern``: |v_i| > zero_tol * max_j |v_j|,
+    which leaves an all-zero vector with no star.
+    """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    mags = np.abs(v)
-    peak = mags.max()
-    if peak == 0:
-        return StructuralVector((False,) * v.size)
-    return StructuralVector(tuple((mags > zero_tol * peak).tolist()))
+    mags = np.abs(V)
+    return mags > zero_tol * mags.max(axis=-1, keepdims=mags.ndim > 1)
 
 
 def structural_inner(v: StructuralVector, w: StructuralVector) -> bool:

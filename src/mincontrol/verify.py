@@ -84,7 +84,10 @@ def pbh_eigenvalue_test(
     """rank([A - lambda I | b]) = n for every supplied eigenvalue.
 
     Checking the spectrum suffices: for any other lambda the first block
-    alone already has full rank.
+    alone already has full rank. That is n SVDs of n x (n+1) pencils.
+    When A, b and lambda all have zero imaginary parts (decided from the
+    values, whatever the dtype) the pencil is real and its rank is
+    decided in real arithmetic; otherwise in complex.
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -92,10 +95,21 @@ def pbh_eigenvalue_test(
     lam = np.asarray(eigenvalues, dtype=complex).ravel()
     if lam.size == 0:
         raise DimensionMismatch("eigenvalue sequence must be nonempty")
-    eye = np.eye(n)
+    real = not (A.imag.any() or b.imag.any())
+    diag = np.arange(n)
+    pencils = {}  # one buffer per arithmetic, reused across eigenvalues
     ranks = []
     for ev in lam:
-        pencil = np.hstack([A - ev * eye, b[:, None]])
+        if real and ev.imag == 0:
+            dtype, block, column, shift = float, A.real, b.real, ev.real
+        else:
+            dtype, block, column, shift = complex, A, b, ev
+        if dtype not in pencils:
+            pencils[dtype] = np.empty((n, n + 1), dtype=dtype)
+            pencils[dtype][:, n] = column
+        pencil = pencils[dtype]
+        pencil[:, :n] = block
+        pencil[diag, diag] -= shift
         ranks.append(numerical_rank(pencil, rank_tol))
     return PbhEigenvalueResult(
         controllable=all(r == n for r in ranks), ranks=tuple(ranks)

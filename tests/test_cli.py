@@ -506,3 +506,100 @@ class TestToleranceResolution:
     def test_bad_env_value_exits_two(self, capsys, golden_path, monkeypatch):
         monkeypatch.setenv("MINCONTROL_TOL_ZERO", "soft")
         assert run_command(["eig", golden_path]) == 2
+
+
+class TestBasisTolerancesReachTheSolve:
+    """solve-mcp and compare validate the basis under the resolved tolerances."""
+
+    CLOSE_PAIR = [[1, 0, 0], [0, 1.0000000001, 0], [0, 0, 2]]
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def support(report):
+        return (report.get("solution") or report.get("mcp"))["support"]
+
+    @pytest.mark.parametrize("command", ["solve-mcp", "compare"])
+    def test_default_gap_tol_rejects_close_pair(self, capsys, tmp_path, command):
+        path = self.write(tmp_path, {"matrix": self.CLOSE_PAIR})
+        code, report = run_json(capsys, command, path)
+        assert code == 1
+        assert report["error_type"] == "NotSimple"
+
+    @pytest.mark.parametrize("command", ["solve-mcp", "compare"])
+    def test_gap_tol_flag(self, capsys, tmp_path, command):
+        path = self.write(tmp_path, {"matrix": self.CLOSE_PAIR})
+        code, report = run_json(capsys, command, path, "--gap-tol", "1e-12")
+        assert code == 0, report
+        assert report["status"] == "ok"
+        assert report["tolerances"]["gap_tol"] == 1e-12
+        assert self.support(report) == [1, 2, 3]
+
+    @pytest.mark.parametrize("command", ["solve-mcp", "compare"])
+    def test_gap_tol_in_problem_file(self, capsys, tmp_path, command):
+        doc = {"matrix": self.CLOSE_PAIR, "tolerances": {"gap_tol": 1e-12}}
+        code, report = run_json(capsys, command, self.write(tmp_path, doc))
+        assert code == 0, report
+        assert report["status"] == "ok"
+
+    def shifted_basis_doc(self):
+        # Every eigenvalue off by 1e-6: residuals near 1e-7 * ||A||, above
+        # the default residual_tol of 1e-8.
+        return {
+            "matrix": [[float(x) for x in row] for row in GOLDEN_A],
+            "eigenbasis": {
+                "eigenvalues": [float(x) + 1e-6 for x in GOLDEN_EIGENVALUES],
+                "vectors": [[float(x) for x in row] for row in GOLDEN_LEFT_EIGENVECTORS],
+            },
+        }
+
+    @pytest.mark.parametrize("command", ["solve-mcp", "compare"])
+    def test_residual_tol(self, capsys, tmp_path, command):
+        path = self.write(tmp_path, self.shifted_basis_doc())
+        code, report = run_json(capsys, command, path)
+        assert code == 1
+        assert report["error_type"] == "EigensolveFailed"
+        code, report = run_json(capsys, command, path, "--residual-tol", "1e-5")
+        assert code == 0, report
+        assert self.support(report) == [2, 3, 4]
+        doc = dict(self.shifted_basis_doc(), tolerances={"residual_tol": 1e-5})
+        code, report = run_json(capsys, command, self.write(tmp_path, doc))
+        assert code == 0, report
+
+
+    @pytest.mark.parametrize("command", ["solve-mcp", "compare"])
+    def test_basis_checked_once(self, capsys, golden_path, monkeypatch, command):
+        from mincontrol import mcp, numerics
+
+        calls = []
+        for module in (numerics, mcp):
+            for name in ("is_simple", "check_residuals"):
+                original = getattr(numerics, name)
+
+                def spy(*args, _name=name, _original=original, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+        code, _ = run_json(capsys, command, golden_path)
+        assert code == 0
+        assert sorted(calls) == ["check_residuals", "is_simple"]
+
+
+class TestNormFailureIsTyped:
+    def test_eig_with_failing_svd(self, capsys, golden_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        code = run_command(["eig", golden_path, "--json", "--no-timings"])
+        captured = capsys.readouterr()
+        assert code == 1
+        report = json.loads(captured.out)
+        assert report["status"] == "error"
+        assert report["error_type"] == "NumericalBreakdown"
+        assert "SVD did not converge" in report["message"]
+        assert "Traceback" not in captured.out + captured.err

@@ -9,6 +9,7 @@ from mincontrol import (
     Infeasible,
     NotSimple,
     RealizationConfig,
+    RealizationStats,
     RepairFailed,
     StructuralVector,
     VerificationFailed,
@@ -18,10 +19,14 @@ from mincontrol import (
     build_cover_instance,
     is_cover,
     kalman_test,
+    left_eigenbasis,
     perturb_nonzero,
     realize_with_stats,
+    restrict,
+    solve_exact,
     solve_mcp,
     structural_inner,
+    structural_pattern,
     support_from_cover,
 )
 from conftest import (
@@ -203,6 +208,143 @@ class TestRealize:
             RealizationConfig(tau=-1.0)
         with pytest.raises(DimensionMismatch):
             RealizationConfig(alpha=(1.0, 2.0)).multipliers(3)
+
+
+
+def reference_realize(pattern, vectors, cfg=None, zero_tol=1e-9):
+    """The realization procedure with scalar checks, one vector at a time.
+
+    Same steps as ``realize_with_stats``; the orthogonality check takes
+    each inner product with ``np.vdot`` and each norm on its own, and
+    returns the first violator.
+    """
+    cfg = cfg if cfg is not None else RealizationConfig()
+    n = len(pattern)
+    vecs = [np.asarray(v, dtype=complex) for v in vectors]
+    if pattern.nnz == 0:
+        raise Infeasible("the requested support is empty")
+    vec_patterns = [structural_pattern(v, zero_tol) for v in vecs]
+    for j, vp in enumerate(vec_patterns, start=1):
+        if not structural_inner(pattern, vp):
+            raise Infeasible(f"vector {j} has no nonzero entry on the requested support")
+    p, support = pattern.nnz, pattern.support
+    restricted = [restrict(v, pattern) for v in vecs]
+
+    def violation(bp, rs):
+        nb = np.linalg.norm(bp)
+        for i, r in enumerate(rs):
+            if abs(np.vdot(bp, r)) <= cfg.tau * np.linalg.norm(r) * nb:
+                return i
+        return None
+
+    def zero_entries(bp, upto=None):
+        peak = np.abs(bp).max()
+        head = bp if upto is None else bp[:upto]
+        return [k for k, x in enumerate(head) if abs(x) <= cfg.tau * peak]
+
+    alphas = cfg.multipliers(len(vecs))
+    bp = np.zeros(p, dtype=complex)
+    step3 = []
+    for j in range(len(vecs)):
+        bp = bp + alphas[j] * restricted[j]
+        count = 0
+        viol = violation(bp, restricted[: j + 1])
+        while viol is not None and count < j + 2:
+            bp = bp + cfg.eps1 * restricted[viol]
+            count += 1
+            viol = violation(bp, restricted[: j + 1])
+        if viol is not None:
+            raise RepairFailed(
+                f"orthogonality to vector {viol + 1} persisted after {count} "
+                "re-alignments; the input is numerically pathological"
+            )
+        step3.append(count)
+    step4 = {}
+    bound = p + len(vecs) + 1
+    for k in range(p):
+        if k not in zero_entries(bp):
+            continue
+        pos = support[k]
+        m = next((j for j, vp in enumerate(vec_patterns) if vp.mask[pos - 1]), None)
+        if m is not None:
+            direction = restricted[m]
+        else:
+            direction = np.zeros(p, dtype=complex)
+            direction[k] = 1.0
+        for mult in range(1, bound + 1):
+            bp = bp + cfg.eps2 * direction
+            if not zero_entries(bp, upto=k + 1) and violation(bp, restricted) is None:
+                step4[pos] = mult
+                break
+        else:
+            raise RepairFailed(
+                f"entry at position {pos} could not be made nonzero within "
+                f"{bound} multiplier steps"
+            )
+    if zero_entries(bp) or violation(bp, restricted) is not None:
+        raise RepairFailed("a residual violation survived the repair loops")
+    b = np.zeros(n, dtype=complex)
+    b[[s - 1 for s in support]] = bp
+    return b, RealizationStats(tuple(step3), step4)
+
+
+def outcome(realize, *args):
+    try:
+        return realize(*args)
+    except (Infeasible, RepairFailed) as exc:
+        return type(exc), str(exc)
+
+
+class TestRealizeAgainstScalarReference:
+    """Bit-identical vector and equal stats against the scalar procedure."""
+
+    def instances(self):
+        rng = np.random.default_rng(77)
+        for k in range(300):
+            n = 2 + k % 6
+            count = 1 + k % 5
+            # small integers make exact orthogonality and exact zero
+            # entries common, so step 3 re-aligns and step 4 repairs
+            vectors = rng.integers(-2, 3, size=(count, n)).astype(float)
+            if k % 3 == 1:
+                vectors = vectors + 1j * rng.integers(-1, 2, size=(count, n))
+            elif k % 3 == 2:
+                vectors = vectors * rng.uniform(0.5, 2.0, size=(count, n))
+            mask = rng.random(n) < 0.7
+            mask[rng.integers(n)] = True
+            pattern = StructuralVector(tuple(bool(x) for x in mask))
+            cfg = RealizationConfig(tau=[1e-10, 1e-3, 0.3][k % 3])
+            yield pattern, list(vectors), cfg
+
+    def test_seeded_instances(self):
+        step3 = step4 = failures = 0
+        for pattern, vectors, cfg in self.instances():
+            got = outcome(realize_with_stats, pattern, vectors, cfg)
+            want = outcome(reference_realize, pattern, vectors, cfg)
+            if isinstance(want[0], type):
+                assert got == want
+                failures += 1
+                continue
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+            step3 += sum(want[1].step3_corrections) > 0
+            step4 += bool(want[1].step4_multipliers)
+        assert step3 > 10 and step4 > 10 and failures > 10
+
+    def test_eigenbases(self, golden_basis):
+        rng = np.random.default_rng(78)
+        bases = [golden_basis] + [
+            left_eigenbasis(random_simple_matrix(rng, n)) for n in (4, 7, 12, 20)
+        ]
+        for basis in bases:
+            patterns = [structural_pattern(v) for v in basis.vectors]
+            cover = solve_exact(build_cover_instance(patterns))
+            for support in (cover.indices, range(1, basis.n + 1)):
+                pattern = StructuralVector.from_support(support, basis.n)
+                got = realize_with_stats(pattern, basis.vectors)
+                want = reference_realize(pattern, basis.vectors)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1] == want[1]
 
 
 class TestSolveMcp:

@@ -7,6 +7,7 @@ from mincontrol import (
     LeftEigenbasis,
     NotSimple,
     NumericalBreakdown,
+    check_residuals,
     controllability_matrix,
     is_simple,
     left_eigenbasis,
@@ -168,6 +169,41 @@ class TestNumericalRank:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NumericalBreakdown, match="SVD did not converge"):
             numerical_rank(np.eye(2))
+
+    @pytest.mark.parametrize(
+        "M, dtype",
+        [
+            (np.eye(3, dtype=bool), np.float64),
+            (np.eye(3, dtype=int), np.float64),
+            (np.eye(3), np.float64),
+            (np.eye(3, dtype=np.float32), np.float64),
+            (np.eye(3, dtype=complex), np.complex128),
+            ([[1, 0], [0, 1j]], np.complex128),
+        ],
+    )
+    def test_real_matrix_stays_real(self, monkeypatch, M, dtype):
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(X, *args, **kwargs):
+            seen.append(X.dtype)
+            return svd(X, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert numerical_rank(M) == len(M)
+        assert seen == [dtype]
+
+
+class TestCheckResiduals:
+    def test_svd_failure_is_numerical_breakdown(self, monkeypatch, golden_a):
+        basis = LeftEigenbasis(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalBreakdown, match="2-norm"):
+            check_residuals(golden_a, basis)
 
 
 class TestControllabilityMatrix:

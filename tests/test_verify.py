@@ -8,6 +8,7 @@ from mincontrol import (
     brute_force_mcp,
     kalman_test,
     left_eigenbasis,
+    numerical_rank,
     pbh_eigenvalue_test,
     pbh_eigenvector_test,
     solve_mcp,
@@ -41,6 +42,112 @@ class TestPbhEigenvalue:
     def test_dimension_mismatch(self, golden_a):
         with pytest.raises(DimensionMismatch):
             pbh_eigenvalue_test(golden_a, [1.0, 0.0], GOLDEN_EIGENVALUES)
+
+
+
+def reference_pbh_ranks(A, b, eigenvalues, rank_tol=None):
+    """One complex pencil per eigenvalue, ranked in complex arithmetic."""
+    A = np.asarray(A, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    eye = np.eye(len(A))
+    pencils = (
+        np.hstack([A - ev * eye, b[:, None]]).astype(complex)
+        for ev in np.asarray(eigenvalues, dtype=complex)
+    )
+    return tuple(numerical_rank(P, rank_tol) for P in pencils)
+
+
+def real_spectrum_matrix(rng, n):
+    """Sparse real matrix around diag(1..n): a real, simple spectrum."""
+    A = np.diag(np.arange(1.0, n + 1) + rng.uniform(-0.1, 0.1, n))
+    return A + (rng.random((n, n)) < 0.2) * rng.uniform(-0.3, 0.3, (n, n))
+
+
+class TestPbhRanksAgainstComplexReference:
+    """Real-arithmetic pencils reach the ranks of the complex reference."""
+
+    def cases(self):
+        rng = np.random.default_rng(404)
+        for k in range(32):
+            n = 4 + k % 9
+            kind = k % 4
+            if kind == 0:  # real, with a mixed real/complex spectrum
+                A = rng.uniform(-1, 1, (n, n))
+            elif kind == 1:  # real, with a real spectrum
+                A = real_spectrum_matrix(rng, n)
+            else:  # two modes living on coordinates 1 and 2: a complex pair
+                A = real_spectrum_matrix(rng, n)
+                A[:2, :2] = [[0.5, -2.0], [2.0, 0.5]]
+                if kind == 3:  # complex A
+                    A = A + 0.3j * rng.uniform(-1, 1, (n, n))
+                A[:2, 2:] = 0.0
+            b_real = rng.normal(size=n) * (rng.random(n) < 0.6)
+            if kind >= 2:
+                b_real[:2] = 0.0  # leaves those two modes uncontrollable
+            b_complex = b_real + 1j * rng.normal(size=n) * (rng.random(n) < 0.5)
+            lam = np.linalg.eigvals(A)
+            for b in (b_real, b_complex):
+                yield A, b, lam
+                yield A.astype(complex), b.astype(complex), lam.astype(complex)
+
+    def test_seeded_ranks(self):
+        real_spectra = mixed_spectra = deficient = deficient_complex = 0
+        for A, b, lam in self.cases():
+            res = pbh_eigenvalue_test(A, b, lam)
+            assert res.ranks == reference_pbh_ranks(A, b, lam)
+            real_spectra += not lam.imag.any()
+            mixed_spectra += bool(lam.imag.any())
+            deficient += any(r < len(A) for r in res.ranks)
+            deficient_complex += any(
+                r < len(A) for r, ev in zip(res.ranks, lam) if ev.imag != 0
+            )
+        assert real_spectra and mixed_spectra and deficient and deficient_complex
+
+    def test_explicit_rank_tol(self):
+        rng = np.random.default_rng(405)
+        for _ in range(10):
+            A = real_spectrum_matrix(rng, 8)
+            b = rng.normal(size=8) * (rng.random(8) < 0.5)
+            lam = np.linalg.eigvals(A)
+            for rank_tol in (1e-12, 1e-3, 0.2):
+                for A_, b_ in ((A, b), (A.astype(complex), b + 0j)):
+                    assert pbh_eigenvalue_test(A_, b_, lam, rank_tol).ranks == (
+                        reference_pbh_ranks(A, b, lam, rank_tol)
+                    )
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rank_deficient(self, dtype):
+        A = np.diag([1.0, 2.0]).astype(dtype)
+        b = np.array([1.0, 0.0], dtype=dtype)
+        assert pbh_eigenvalue_test(A, b, [1.0, 2.0]).ranks == (2, 1)
+        assert reference_pbh_ranks(A, b, [1.0, 2.0]) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "A, b, eigenvalues, dtypes",
+        [
+            (np.diag([1.0, 2.0]) + 0j, [1.0, 1.0], [1.0, 2.0], ["float64"] * 2),
+            (np.diag([1.0, 2.0]), [1.0, 1j], [1.0, 2.0], ["complex128"] * 2),
+            (np.diag([1.0, 2.0]), [1.0, 1.0], [1.0, 2.0 + 0j], ["float64"] * 2),
+            (
+                np.diag([1.0, 2.0]),
+                [1.0, 1.0],
+                [1.0, 2.0 + 1e-300j],
+                ["float64", "complex128"],
+            ),
+            (np.diag([1.0, 2.0 + 1e-300j]), [1.0, 1.0], [1.0, 2.0], ["complex128"] * 2),
+        ],
+    )
+    def test_arithmetic_follows_the_values(self, monkeypatch, A, b, eigenvalues, dtypes):
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(X, *args, **kwargs):
+            seen.append(X.dtype.name)
+            return svd(X, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        pbh_eigenvalue_test(A, b, eigenvalues)
+        assert seen == dtypes
 
 
 class TestPbhEigenvector:
