@@ -6,6 +6,7 @@ output and golden files. Positions are 1-based in all public indices.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -63,36 +64,49 @@ class StructuralVector:
         return tuple(i + 1 for i, m in enumerate(self.mask) if m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructuralMatrix:
-    """Row-major pattern over {0, *} for a rows x cols matrix."""
+    """Row-major pattern over {0, *} for a rows x cols matrix.
+
+    The pattern is held as its stars, so it takes O(rows + nnz) memory;
+    ``mask``, the rows * cols tuple of bools, is built only when read.
+    Two patterns are equal exactly when rows, cols and mask are.
+    """
 
     rows: int
     cols: int
-    mask: tuple[bool, ...]
+    stars: tuple[tuple[int, int], ...]
+    """1-based (row, col) positions of the stars, in row-major order."""
 
-    def __post_init__(self):
-        if len(self.mask) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"pattern length {len(self.mask)} != {self.rows}x{self.cols}"
-            )
-        object.__setattr__(self, "mask", tuple(map(bool, self.mask)))
+    def __init__(self, rows: int, cols: int, mask: Sequence[bool]):
+        if len(mask) != rows * cols:
+            raise DimensionMismatch(f"pattern length {len(mask)} != {rows}x{cols}")
+        mask = tuple(map(bool, mask))
+        self.__dict__.update(
+            rows=rows,
+            cols=cols,
+            stars=_stars(np.flatnonzero(np.array(mask, dtype=bool)), cols),
+            mask=mask,
+        )
 
     @classmethod
     def from_numeric(cls, A, zero_tol: float = DEFAULT_ZERO_TOL) -> "StructuralMatrix":
         A = np.asarray(A)
         if A.ndim != 2 or A.size == 0:
             raise DimensionMismatch("expected a nonempty 2-d array")
-        if not np.all(np.isfinite(A.view(float) if np.iscomplexobj(A) else A)):
-            raise ValueError("matrix entries must be finite")
         mags = np.abs(A)
-        peak = mags.max(initial=0.0)
-        mask = (mags > zero_tol * peak) if peak > 0 else np.zeros_like(mags, bool)
-        # tolist() already yields Python bools: skip the per-entry
-        # normalization in __post_init__.
+        peak = mags.max()
+        # The peak is NaN or inf when an entry is, but |z| of a finite
+        # complex entry can also overflow to inf: only then look closer.
+        if not np.isfinite(peak) and not np.all(
+            np.isfinite(A.view(float) if np.iscomplexobj(A) else A)
+        ):
+            raise ValueError("matrix entries must be finite")
         pattern = object.__new__(cls)
         pattern.__dict__.update(
-            rows=A.shape[0], cols=A.shape[1], mask=tuple(mask.ravel().tolist())
+            rows=A.shape[0],
+            cols=A.shape[1],
+            stars=_stars(np.flatnonzero(mags > zero_tol * peak), A.shape[1]),
         )
         return pattern
 
@@ -103,30 +117,42 @@ class StructuralMatrix:
             raise DimensionMismatch("rows have differing lengths")
         return cls(len(vecs), len(vecs[0]), tuple(m for v in vecs for m in v.mask))
 
+    @cached_property
+    def mask(self) -> tuple[bool, ...]:
+        """Row-major pattern as rows * cols Python bools; True marks a star."""
+        mask = [False] * (self.rows * self.cols)
+        for i, j in self.stars:
+            mask[(i - 1) * self.cols + (j - 1)] = True
+        return tuple(mask)
+
     def entry(self, i: int, j: int) -> bool:
         """True iff position (i, j) is a star; indices are 1-based."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise DimensionMismatch(f"({i},{j}) outside {self.rows}x{self.cols}")
-        return self.mask[(i - 1) * self.cols + (j - 1)]
+        k = bisect_left(self.stars, (i, j))
+        return k < len(self.stars) and self.stars[k] == (i, j)
 
     def row(self, i: int) -> StructuralVector:
-        start = (i - 1) * self.cols
-        return StructuralVector(self.mask[start : start + self.cols])
+        """Pattern of row i (1-based)."""
+        if not 1 <= i <= self.rows:
+            raise IndexOutOfRange(f"row {i} outside 1..{self.rows}")
+        lo = bisect_left(self.stars, (i, 0))
+        hi = bisect_left(self.stars, (i + 1, 0), lo)
+        return StructuralVector.from_support((j for _, j in self.stars[lo:hi]), self.cols)
 
     @property
     def diagonal(self) -> tuple[bool, ...]:
-        k = min(self.rows, self.cols)
-        return tuple(self.mask[i * self.cols + i] for i in range(k))
-
-    @cached_property
-    def stars(self) -> tuple[tuple[int, int], ...]:
-        """1-based (row, col) positions of the stars, in row-major order."""
-        flat = np.flatnonzero(np.frombuffer(bytearray(self.mask), dtype=bool))
-        rows, cols = np.divmod(flat, self.cols)
-        return tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
+        on = {i for i, j in self.stars if i == j}
+        return tuple(i in on for i in range(1, min(self.rows, self.cols) + 1))
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))
+
+
+def _stars(flat: np.ndarray, cols: int) -> tuple[tuple[int, int], ...]:
+    """1-based (row, col) pairs of ascending row-major star positions."""
+    i, j = np.divmod(flat, cols)
+    return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
 
 
 def structural_pattern(v, zero_tol: float = DEFAULT_ZERO_TOL) -> StructuralVector:

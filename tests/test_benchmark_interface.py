@@ -5,12 +5,18 @@ functions by name (``Program.staged``). This runs that pipeline on two
 small inputs of each workload and checks that it reaches the same
 outcome and support as the operation the benchmark times
 (``Program.run``), so a renamed or re-signed stage fails here rather
-than only in the benchmark's own, slower self-tests.
+than only in the benchmark's own, slower self-tests. It also checks that
+the structural trace counters count what their names say.
 """
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from mincontrol.tolerances import DEFAULT_ZERO_TOL
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -29,3 +35,21 @@ def test_staged_pipeline_agrees_with_the_operation(name, tmp_path):
         staged_outcome, staged_support, _ = program.staged(item, NullTracer(), k)
         assert (staged_outcome, staged_support) == (outcome, support)
         assert support
+
+
+def test_structural_trace_counts_keep_their_meaning(tmp_path):
+    w = tiny(WORKLOADS["mscp-structural"])
+    program = Program(REPO_ROOT, w.family, w.exact_limit_n)
+    for k in range(2):
+        A = program.prepare(write_input(w, 1, k, tmp_path), w.size(k))
+        mags = np.abs(A)
+        mask = mags > DEFAULT_ZERO_TOL * mags.max()
+        n_components, _ = connected_components(
+            csr_matrix(mask), directed=True, connection="strong"
+        )
+        outcome, _, counts = program.staged(A, NullTracer(), k)
+        assert outcome == "ok"
+        assert counts == {
+            "structure.pattern_nnz": np.count_nonzero(mask),
+            "structural.components": n_components,
+        }

@@ -16,6 +16,7 @@ from mincontrol import (
     solve_mscp,
     state_digraph,
 )
+from mincontrol import structural
 
 
 def golden_pattern(golden_a):
@@ -182,6 +183,20 @@ class TestIsStructurallyControllable:
                 golden_pattern(golden_a), StructuralVector.from_text("***")
             )
 
+    def test_length_checked_before_condensing(self, monkeypatch):
+        def no_condensation(graph):
+            raise AssertionError("condensation built before the length check")
+
+        monkeypatch.setattr(structural, "scc_dag", no_condensation)
+        pattern = StructuralMatrix.from_numeric(np.eye(1500))
+        with pytest.raises(DimensionMismatch, match="input pattern length 3 != 1500"):
+            is_structurally_controllable(pattern, StructuralVector.from_text("***"))
+
+    def test_missing_self_loops_still_reported_first(self):
+        pattern = StructuralMatrix.from_rows(["0*", "*0"])
+        with pytest.raises(MissingSelfLoops):
+            is_structurally_controllable(pattern, StructuralVector.from_text("***"))
+
 
 class TestCompatibleSolution:
     def test_picks_vertices_inside_reference(self):
@@ -300,3 +315,21 @@ class TestScipyCrossCheck:
             v = StructuralVector(raw)
             assert all(type(m) is bool for m in v.mask)
             assert v.mask == tuple(bool(x) for x in raw)
+
+
+class TestSolveNeverBuildsTheMask:
+    """The MSCP solve works on the stars; the rows x cols mask is never built."""
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_solve_from_numeric(self, n):
+        rng = np.random.default_rng([5, n])
+        A = np.diag(rng.uniform(1.0, 2.0, n))
+        A[rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)] = 1.0
+        pattern = StructuralMatrix.from_numeric(A)
+        b = solve_mscp(pattern)
+        assert is_structurally_controllable(pattern, b)
+        assert compatible_mscp_solution(pattern, b) == b
+        assert "mask" not in vars(pattern)
+        # ``mask`` is a cached property: reading it is what stores it.
+        assert sum(pattern.mask) == len(pattern.stars)
+        assert "mask" in vars(pattern)

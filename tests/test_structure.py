@@ -208,3 +208,128 @@ class TestStructuralMatrixType:
         assert numeric == StructuralMatrix.from_rows(rows)
         assert numeric.stars == expected
         assert StructuralMatrix(2, 3, (False,) * 6).stars == ()
+
+    def test_row_outside_range(self):
+        m = StructuralMatrix.from_rows(["*0", "0*", "**"])
+        assert [str(m.row(i)) for i in (1, 2, 3)] == ["*0", "0*", "**"]
+        for i in (-1, 0, 4):
+            with pytest.raises(IndexOutOfRange):
+                m.row(i)
+
+
+def _reference_views(mask):
+    """Every public view of a 2-d bool mask, computed entry by entry."""
+    rows, cols = mask.shape
+    return {
+        "mask": tuple(bool(mask[i, j]) for i in range(rows) for j in range(cols)),
+        "stars": tuple(
+            (i + 1, j + 1) for i in range(rows) for j in range(cols) if mask[i, j]
+        ),
+        "diagonal": tuple(bool(mask[i, i]) for i in range(min(rows, cols))),
+        "entries": {
+            (i + 1, j + 1): bool(mask[i, j]) for i in range(rows) for j in range(cols)
+        },
+        "rows": tuple(
+            "".join("*" if m else "0" for m in mask[i]) for i in range(rows)
+        ),
+    }
+
+
+class TestStarsFirstRepresentation:
+    """Every way of building a pattern gives the same public views.
+
+    The stars are what a pattern stores; ``mask`` is derived on request.
+    """
+
+    NUMERIC = {
+        "3x5": np.array(
+            [
+                [1.0, 0.0, -2.0, 0.0, 0.0],
+                [0.0, 3.0, 0.0, 0.0, 1e-12],
+                [0.0, 0.0, 0.5, 0.0, 4.0],
+            ]
+        ),
+        "5x3": np.array(
+            [
+                [0.0, 1.0, 0.0],
+                [2.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0],
+                [0.0, -1.0, 7.0],
+                [1e-15, 0.0, 3.0],
+            ]
+        ),
+        "1x1": np.array([[-2.5]]),
+        "1x1 zero": np.array([[0.0]]),
+        "all zero": np.zeros((4, 4)),
+        "complex signed zeros": np.array(
+            [
+                [complex(-0.0, 0.0), complex(0.0, -1.0), complex(-0.0, -0.0)],
+                [complex(2.0, -0.0), complex(-0.0, -0.0), complex(0.0, 1e-13)],
+                [complex(-0.0, 3.0), complex(1.0, 1.0), complex(-1.0, -0.0)],
+            ]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NUMERIC))
+    def test_constructors_agree(self, name):
+        A = self.NUMERIC[name]
+        mags = np.abs(A)
+        mask = mags > 1e-9 * mags.max()
+        rows, cols = mask.shape
+        expected = _reference_views(mask)
+        variants = [
+            StructuralMatrix.from_numeric(A, zero_tol=1e-9),
+            StructuralMatrix(rows, cols, expected["mask"]),
+            StructuralMatrix(rows, cols, mask.ravel()),
+            StructuralMatrix(rows, cols, tuple(mask.astype(int).ravel().tolist())),
+            StructuralMatrix.from_rows(expected["rows"]),
+        ]
+        for pattern in variants:
+            assert (pattern.rows, pattern.cols) == (rows, cols)
+            assert pattern.stars == expected["stars"]
+            assert pattern.diagonal == expected["diagonal"]
+            assert all(type(d) is bool for d in pattern.diagonal)
+            for (i, j), value in expected["entries"].items():
+                assert pattern.entry(i, j) is value
+            assert tuple(str(pattern.row(i)) for i in range(1, rows + 1)) == expected[
+                "rows"
+            ]
+            assert str(pattern) == "\n".join(expected["rows"])
+            assert pattern.mask == expected["mask"]
+            assert all(type(m) is bool for m in pattern.mask)
+            assert pattern == variants[0]
+            assert hash(pattern) == hash(variants[0])
+
+    def test_equality_needs_equal_shape_and_stars(self):
+        base = StructuralMatrix.from_rows(["*0", "0*"])
+        assert base != StructuralMatrix.from_rows(["*0", "00"])
+        assert base != StructuralMatrix.from_rows(["*00", "0*0"])
+        assert StructuralMatrix(1, 2, (False, False)) != StructuralMatrix(
+            2, 1, (False, False)
+        )
+        assert StructuralMatrix.from_rows(["*0"]) != StructuralMatrix.from_rows(["*00"])
+        assert len({base, StructuralMatrix.from_numeric(np.eye(2))}) == 1
+
+    def test_entry_outside_range(self):
+        m = StructuralMatrix.from_rows(["*0*", "0*0"])
+        for i, j in ((0, 1), (3, 1), (1, 0), (1, 4)):
+            with pytest.raises(DimensionMismatch):
+                m.entry(i, j)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, -np.inf)]
+    )
+    def test_nonfinite_rejected(self, bad):
+        A = np.array([[1.0, 0.0], [bad, 2.0]])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            StructuralMatrix.from_numeric(A)
+
+    def test_finite_complex_with_overflowing_modulus_is_not_rejected(self):
+        # |z| overflows to inf although both parts are finite.
+        A = np.array([[complex(1.5e308, 1.5e308), 1.0], [0.0, 3.0]])
+        StructuralMatrix.from_numeric(A)
+
+    def test_is_immutable(self):
+        m = StructuralMatrix.from_rows(["*0", "0*"])
+        with pytest.raises(AttributeError):
+            m.rows = 3
