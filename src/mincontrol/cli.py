@@ -584,9 +584,8 @@ def _render_text(report: dict) -> str:
         )
         ver = sol["verification"]
         if ver["kalman"] is not None:
-            rank = ver["kalman"]["rank"]
             lines.append(
-                f"kalman rank: {'undefined' if rank is None else rank} "
+                f"kalman rank: {ver['kalman']['rank']} "
                 f"controllable: {ver['kalman']['controllable']}"
             )
         if not ver["consistent"]:
@@ -629,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text in (
         ("--zero-tol", "pattern threshold, relative to the largest entry"),
-        ("--rank-tol", "rank threshold, relative to the largest singular value"),
+        ("--rank-tol", "rank threshold, relative to ||sA||_F (staircase and PBH)"),
         ("--residual-tol", "eigenpair residual bound, relative to ||A||"),
         ("--gap-tol", "eigenvalue separation bound"),
         ("--tau", "orthogonality threshold"),

@@ -4,7 +4,9 @@ The pipeline: extract the zero/nonzero pattern of every left-eigenvector,
 turn the patterns into a set-cover instance (position i's set collects
 the eigenvectors that are nonzero there), solve the cover, and realize a
 numerical input vector on the chosen support that is non-orthogonal to
-every eigenvector. The Kalman rank test certifies the result.
+every eigenvector. One orthogonal staircase reduction of (A, b)
+certifies the result (``verify.staircase``): the Kalman rank and every
+PBH-eigenvalue rank come from pencils of that one form, O(n^2) each.
 """
 from __future__ import annotations
 
@@ -296,7 +298,9 @@ def solve_mcp(
     Accepts the matrix, a precomputed left-eigenbasis, or both (the
     basis is then validated against the matrix). ``mode`` selects the
     exact or the greedy cover solver. The certificate of record is the
-    Kalman rank test whenever the matrix is available; the eigenvector
+    Kalman rank whenever the matrix is available, read off one staircase
+    reduction that also gives the PBH-eigenvalue ranks (O(n^2) per
+    eigenvalue, plus an SVD for a rank-deficient pencil); the eigenvector
     non-orthogonality test otherwise. Raises VerificationFailed (with
     the offending solution attached) when the certificate does not
     confirm controllability under the configured tolerances.
@@ -362,8 +366,7 @@ def _solve_on_basis(
         rank = report.kalman.rank if report.kalman else "n/a"
         raise VerificationFailed(
             "the realized vector failed the controllability certificate "
-            f"(kalman rank {'undefined' if rank is None else rank}); "
-            "check the tolerance configuration",
+            f"(kalman rank {rank}); check the tolerance configuration",
             report=report,
             solution=solution,
         )

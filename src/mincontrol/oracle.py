@@ -16,7 +16,7 @@ from .mcp import RealizationConfig, realize_with_stats
 from .numerics import as_square_matrix, left_eigenbasis
 from .structure import StructuralVector, structural_pattern
 from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL, DEFAULT_ZERO_TOL
-from .verify import _kalman_verdict
+from .verify import kalman_test
 
 #: Enumeration is 2^n; keep the default ceiling modest.
 DEFAULT_SIZE_LIMIT = 12
@@ -66,7 +66,7 @@ def brute_force_mcp(
         for combo in feasible:
             pattern = StructuralVector.from_support(combo, n)
             b, _ = realize_with_stats(pattern, basis.vectors, config, zero_tol)
-            verdicts.append(_kalman_verdict(A, b, rank_tol).controllable)
+            verdicts.append(kalman_test(A, b, rank_tol).controllable)
         return OracleResult(
             min_support_size=k,
             optimal_supports=tuple(feasible),

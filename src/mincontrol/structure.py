@@ -94,13 +94,8 @@ class StructuralMatrix:
         A = np.asarray(A)
         if A.ndim != 2 or A.size == 0:
             raise DimensionMismatch("expected a nonempty 2-d array")
-        mags = np.abs(A)
-        peak = mags.max()
-        # The peak is NaN or inf when an entry is, but |z| of a finite
-        # complex entry can also overflow to inf: only then look closer.
-        if not np.isfinite(peak) and not np.all(
-            np.isfinite(A.view(float) if np.iscomplexobj(A) else A)
-        ):
+        mags, peak = _magnitudes(A.ravel())
+        if not np.isfinite(peak).all():
             raise ValueError("matrix entries must be finite")
         pattern = object.__new__(cls)
         pattern.__dict__.update(
@@ -179,8 +174,32 @@ def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
     """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
+    mags, peak = _magnitudes(V)
+    return mags > zero_tol * peak
+
+
+def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:
+    """|V| and its peak along the last axis (kept as a length-1 axis).
+
+    |z| of a complex entry overflows to inf when its parts are finite
+    but large. Only a vector whose peak is not finite, and whose parts
+    are all finite, is measured after scaling by its largest part, so
+    every other magnitude is |V| to the bit. A peak stays non-finite
+    exactly when its vector holds a NaN or an infinite part.
+    """
     mags = np.abs(V)
-    return mags > zero_tol * mags.max(axis=-1, keepdims=mags.ndim > 1)
+    peak = mags.max(axis=-1, keepdims=True)
+    if np.isfinite(peak).all():
+        return mags, peak
+    rows, row_mags, row_peaks = (
+        X.reshape(-1, X.shape[-1]) for X in (np.asarray(V), mags, peak)
+    )
+    for i in np.flatnonzero(~np.isfinite(row_peaks[:, 0])):
+        largest = max(np.abs(rows[i].real).max(), np.abs(rows[i].imag).max())
+        if np.isfinite(largest):
+            row_mags[i] = np.abs(rows[i] / largest)
+            row_peaks[i] = row_mags[i].max()
+    return mags, peak
 
 
 def structural_inner(v: StructuralVector, w: StructuralVector) -> bool:

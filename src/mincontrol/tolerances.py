@@ -25,8 +25,9 @@ _ENV_PREFIX = "MINCONTROL_TOL_"
 class Tolerances:
     """Bundle of the five tolerances used across the pipeline.
 
-    ``rank_tol=None`` means the per-matrix default
-    ``eps * max(rows, cols)`` (relative to the largest singular value).
+    ``rank_tol=None`` means the staircase default ``4 * n * eps``
+    (relative to ||sA||_F, A scaled by a power of two; see
+    ``verify.staircase``).
     """
 
     residual_tol: float = DEFAULT_RESIDUAL_TOL

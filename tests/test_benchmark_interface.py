@@ -6,7 +6,8 @@ small inputs of each workload and checks that it reaches the same
 outcome and support as the operation the benchmark times
 (``Program.run``), so a renamed or re-signed stage fails here rather
 than only in the benchmark's own, slower self-tests. It also checks that
-the structural trace counters count what their names say.
+the structural trace counters count what their names say, and that the
+staged MCP pipeline certifies what the CLI certifies.
 """
 import sys
 from pathlib import Path
@@ -53,3 +54,28 @@ def test_structural_trace_counts_keep_their_meaning(tmp_path):
             "structure.pattern_nnz": np.count_nonzero(mask),
             "structural.components": n_components,
         }
+
+
+def test_staged_mcp_pipeline_certifies_like_the_cli(tmp_path):
+    # diag(1e200, 2e200, 3e200), whose Krylov matrix overflows, and two
+    # full-size mcp-large inputs (n = 64, 73): the staged pipeline calls
+    # verify.kalman_test and verify.pbh_eigenvalue_test by name, the CLI
+    # calls verification_report; both must certify the same support.
+    w = WORKLOADS["mcp-large"]
+    program = Program(REPO_ROOT, w.family, w.exact_limit_n)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"matrix": [[1e200, 0, 0], [0, 2e200, 0], [0, 0, 3e200]]}')
+    items = [(str(huge), 3)] + [
+        program.prepare(write_input(w, 1, k, tmp_path), w.size(k)) for k in range(2)
+    ]
+    assert [n for _, n in items] == [3, 64, 73]
+    supports = []
+    for k, item in enumerate(items):
+        outcome, support, _ = program.classify(program.run(item))
+        staged_outcome, staged_support, counts = program.staged(item, NullTracer(), k)
+        assert (staged_outcome, staged_support) == (outcome, support)
+        assert outcome == "ok" and support
+        assert counts["verify.kalman_deficit"] == 0
+        assert counts["verify.disagree"] == 0
+        supports.append(support)
+    assert supports[0] == [1, 2, 3]

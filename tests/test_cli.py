@@ -346,22 +346,24 @@ class TestSolveMcpCommand:
         assert run_command(["solve-mcp", golden_path, "--mode", "quantum"]) == 2
 
     def test_overflowing_krylov_matrix_keeps_support(self, capsys, tmp_path):
-        # The cover and realization succeed; only the Kalman step breaks
-        # down, so the found support is reported as unverifiable.
+        # [b, Ab, A^2 b] would overflow, but the staircase never forms it:
+        # the found support is certified, with no overflow on the way.
         path = tmp_path / "huge.json"
         path.write_text('{"matrix": [[1e200, 0, 0], [0, 2e200, 0], [0, 0, 3e200]]}')
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise"):
             code, report = run_json(capsys, "solve-mcp", str(path))
             text_code = run_command(["solve-mcp", str(path)])
         out = capsys.readouterr().out
-        assert code == text_code == 1
-        assert report["status"] == "unverifiable"
-        assert "kalman rank undefined" in report["message"]
+        assert code == text_code == 0
+        assert report["status"] == "ok"
+        assert report["message"] is None
         assert report["solution"]["support"] == [1, 2, 3]
         verification = report["solution"]["verification"]
-        assert verification["kalman"] == {"controllable": False, "rank": None}
+        assert verification["kalman"] == {"controllable": True, "rank": 3}
+        assert verification["pbh_eigenvalue"] == {"controllable": True, "ranks": [3, 3, 3]}
         assert verification["pbh_eigenvector"]["controllable"]
-        assert "kalman rank: undefined controllable: False" in out
+        assert verification["controllable"] and verification["consistent"]
+        assert "kalman rank: 3 controllable: True" in out
         assert report["eigenvector_patterns"] == ["00*", "0*0", "*00"]
         assert report["cover_instance"] == {
             "universe": [1, 2, 3],
@@ -385,6 +387,21 @@ class TestSolveMscpCommand:
         code, report = run_json(capsys, "solve-mscp", str(path))
         assert code == 1
         assert report["error_type"] == "MissingSelfLoops"
+
+    def test_overflowing_modulus_is_a_star(self, capsys, tmp_path):
+        # |1.5e308 + 1.5e308j| overflows to inf; the pattern is read off
+        # magnitudes scaled by the largest part, so that entry is a star.
+        path = tmp_path / "huge_modulus.json"
+        path.write_text('{"matrix": [[[1.5e308, 1.5e308], 1], [0, 3]]}')
+        code, report = run_json(capsys, "solve-mscp", str(path))
+        assert code == 1
+        assert report["error_type"] == "MissingSelfLoops"
+        assert report["message"].startswith("diagonal positions [2] are zero")
+        path.write_text('{"matrix": [[[1.5e308, 1.5e308], 1e300], [0, 1e300]]}')
+        code, report = run_json(capsys, "solve-mscp", str(path))
+        assert code == 0
+        assert report["matrix_pattern"] == ["**", "0*"]
+        assert report["support"] == [2]
 
 
 class TestVerifyCommand:
@@ -429,16 +446,16 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_overflowing_krylov_matrix_is_typed_error(self, capsys, tmp_path):
-        # A^2 b overflows to inf and the next power to nan: no rank exists.
+        # A^2 b would overflow, but the staircase never forms it: rank 3.
         path = tmp_path / "huge.json"
         path.write_text('{"matrix": [[1e200, 0, 0], [0, 2e200, 0], [0, 0, 3e200]]}')
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise"):
             code, report = run_json(
                 capsys, "verify", str(path), "--method", "kalman", "--vector", "1,1,1"
             )
-        assert code == 1
-        assert report["status"] == "error"
-        assert report["error_type"] == "NumericalBreakdown"
+        assert code == 0
+        assert report["status"] == "ok"
+        assert report["result"] == {"controllable": True, "rank": 3}
 
 
 class TestOracleCommand:

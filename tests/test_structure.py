@@ -14,6 +14,7 @@ from mincontrol import (
     structural_inner,
     structural_pattern,
 )
+from mincontrol.structure import _nonzero_mask
 
 patterns = st.integers(1, 8).flatmap(
     lambda n: st.tuples(*([st.booleans()] * n)).map(StructuralVector)
@@ -52,6 +53,17 @@ class TestStructuralPattern:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             structural_pattern([np.inf, 1.0])
+
+    def test_overflowing_modulus_is_a_star(self):
+        # |z| of the first entry overflows to inf; its parts are finite.
+        huge = complex(1.5e308, 1.5e308)
+        assert str(structural_pattern([huge, 1e300, 1.0])) == "**0"
+        assert str(structural_pattern([1.0, huge, 0.0], zero_tol=0.0)) == "**0"
+        stacked = np.array([[huge, 1e300, 1.0], [1.0, 1e-12, 0.0]])
+        assert _nonzero_mask(stacked, 1e-9).tolist() == [
+            [True, True, False],
+            [True, False, False],
+        ]
 
 
 class TestStructuralInner:
@@ -328,6 +340,13 @@ class TestStarsFirstRepresentation:
         # |z| overflows to inf although both parts are finite.
         A = np.array([[complex(1.5e308, 1.5e308), 1.0], [0.0, 3.0]])
         StructuralMatrix.from_numeric(A)
+
+    def test_overflowing_modulus_is_thresholded_after_scaling(self):
+        huge = complex(1.5e308, 1.5e308)
+        A = np.array([[huge, 1.0], [0.0, 3.0]])
+        assert StructuralMatrix.from_numeric(A).stars == ((1, 1),)
+        A = np.array([[huge, 1e300], [0.0, 1e300]])
+        assert StructuralMatrix.from_numeric(A).stars == ((1, 1), (1, 2), (2, 2))
 
     def test_is_immutable(self):
         m = StructuralMatrix.from_rows(["*0", "0*"])

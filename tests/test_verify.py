@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import hessenberg
 
 from mincontrol import (
     DimensionMismatch,
+    KalmanResult,
     LeftEigenbasis,
-    NumericalBreakdown,
     brute_force_mcp,
+    controllability_matrix,
     kalman_test,
     left_eigenbasis,
     numerical_rank,
@@ -14,6 +16,8 @@ from mincontrol import (
     solve_mcp,
     verification_report,
 )
+from mincontrol import verify
+from mincontrol.setcover import EXACT_UNIVERSE_LIMIT
 from conftest import GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, random_simple_matrix
 
 B_WORKED = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
@@ -55,6 +59,44 @@ def reference_pbh_ranks(A, b, eigenvalues, rank_tol=None):
         for ev in np.asarray(eigenvalues, dtype=complex)
     )
     return tuple(numerical_rank(P, rank_tol) for P in pencils)
+
+
+def staircase_reference_ranks(A, b, eigenvalues, rank_tol):
+    """The staircase contract, computed independently of ``verify``.
+
+    Scale A and b by the powers of two that bring their largest real or
+    imaginary part into [1/2, 1), reflect b to beta e1 in numpy, reduce
+    with LAPACK gehrd (``scipy.linalg.hessenberg``, which fixes e1), and
+    count the singular values of [beta e1 | H - s lambda I] above
+    delta = rank_tol * ||sA||_F.
+    """
+    A = np.asarray(A, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = len(b)
+    s = 2.0 ** -np.frexp(np.abs(A.view(float)).max())[1]
+    A = s * A
+    b = b * 2.0 ** -np.frexp(np.abs(b.view(float)).max())[1]
+    beta = np.linalg.norm(b)
+    reflector = np.eye(n, dtype=complex)
+    if beta > 0:
+        v = b.copy()
+        v[0] += (b[0] / abs(b[0]) if b[0] != 0 else 1.0) * beta
+        v /= np.linalg.norm(v)
+        reflector -= 2 * np.outer(v, v.conj())
+    form = np.column_stack([beta * np.eye(n)[0], hessenberg(reflector @ A @ reflector)])
+    delta = rank_tol * np.linalg.norm(A)
+    return tuple(
+        int(np.sum(np.linalg.svd(form - s * ev * np.eye(n, n + 1, 1), compute_uv=False) > delta))
+        for ev in np.asarray(eigenvalues, dtype=complex)
+    )
+
+
+def unitary(rng, n, complex_entries):
+    """A dense random orthogonal (or unitary) matrix: Q of a Gaussian's QR."""
+    Z = rng.normal(size=(n, n))
+    if complex_entries:
+        Z = Z + 1j * rng.normal(size=(n, n))
+    return np.linalg.qr(Z)[0]
 
 
 def real_spectrum_matrix(rng, n):
@@ -104,16 +146,25 @@ class TestPbhRanksAgainstComplexReference:
         assert real_spectra and mixed_spectra and deficient and deficient_complex
 
     def test_explicit_rank_tol(self):
+        # Real and complex arithmetic agree at every threshold. At 1e-12 the
+        # ranks are those of the whole-pencil SVD; at the coarse thresholds,
+        # where the two rules differ, they follow the staircase contract.
         rng = np.random.default_rng(405)
+        coarse_deficits = 0
         for _ in range(10):
             A = real_spectrum_matrix(rng, 8)
             b = rng.normal(size=8) * (rng.random(8) < 0.5)
             lam = np.linalg.eigvals(A)
             for rank_tol in (1e-12, 1e-3, 0.2):
-                for A_, b_ in ((A, b), (A.astype(complex), b + 0j)):
-                    assert pbh_eigenvalue_test(A_, b_, lam, rank_tol).ranks == (
-                        reference_pbh_ranks(A, b, lam, rank_tol)
-                    )
+                ranks = pbh_eigenvalue_test(A, b, lam, rank_tol).ranks
+                complex_ranks = pbh_eigenvalue_test(A + 0j, b + 0j, lam, rank_tol).ranks
+                assert complex_ranks == ranks
+                if rank_tol == 1e-12:
+                    assert ranks == reference_pbh_ranks(A, b, lam, rank_tol)
+                else:
+                    assert ranks == staircase_reference_ranks(A, b, lam, rank_tol)
+                    coarse_deficits += any(r < 8 for r in ranks)
+        assert coarse_deficits
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_rank_deficient(self, dtype):
@@ -122,32 +173,82 @@ class TestPbhRanksAgainstComplexReference:
         assert pbh_eigenvalue_test(A, b, [1.0, 2.0]).ranks == (2, 1)
         assert reference_pbh_ranks(A, b, [1.0, 2.0]) == (2, 1)
 
+    def test_rotated_ranks(self):
+        # The same pairs under a dense unitary similarity: no exact zero is
+        # left for the staircase to cut at, yet the PBH ranks still match
+        # the reference and the Kalman rank drops one per unreachable mode.
+        rng = np.random.default_rng(406)
+        deficient = 0
+        for A, b, lam in self.cases():
+            Q = unitary(rng, len(A), np.iscomplexobj(A) or np.iscomplexobj(b))
+            A, b = Q @ A @ Q.conj().T, Q @ b
+            ranks = reference_pbh_ranks(A, b, lam)
+            assert pbh_eigenvalue_test(A, b, lam).ranks == ranks
+            unreachable = sum(r < len(A) for r in ranks)
+            assert kalman_test(A, b) == KalmanResult(
+                controllable=not unreachable, rank=len(A) - unreachable
+            )
+            deficient += bool(unreachable)
+        assert deficient
+
     @pytest.mark.parametrize(
         "A, b, eigenvalues, dtypes",
         [
-            (np.diag([1.0, 2.0]) + 0j, [1.0, 1.0], [1.0, 2.0], ["float64"] * 2),
-            (np.diag([1.0, 2.0]), [1.0, 1j], [1.0, 2.0], ["complex128"] * 2),
-            (np.diag([1.0, 2.0]), [1.0, 1.0], [1.0, 2.0 + 0j], ["float64"] * 2),
+            (np.diag([1.0, 2.0]) + 0j, [1.0, 1.0], [1.0, 2.0], ("float64", ["float64"], [])),
+            (np.diag([1.0, 2.0]), [1.0, 1j], [1.0, 2.0], ("complex128", ["complex128"], [])),
+            (np.diag([1.0, 2.0]), [1.0, 1.0], [1.0, 2.0 + 0j], ("float64", ["float64"], [])),
             (
                 np.diag([1.0, 2.0]),
                 [1.0, 1.0],
                 [1.0, 2.0 + 1e-300j],
-                ["float64", "complex128"],
+                ("float64", ["float64", "complex128"], []),
             ),
-            (np.diag([1.0, 2.0 + 1e-300j]), [1.0, 1.0], [1.0, 2.0], ["complex128"] * 2),
+            (
+                np.diag([1.0, 2.0 + 1e-300j]),
+                [1.0, 1.0],
+                [1.0, 2.0],
+                ("complex128", ["complex128"], []),
+            ),
+            (
+                np.diag([1.0, 2.0]),
+                [1.0, 0.0],
+                [1.0, 2.0 + 1e-300j],
+                ("float64", ["float64", "complex128"], ["complex128"]),
+            ),
+            (
+                np.diag([1.0, 2.0 + 1e-300j]),
+                [1.0, 0.0],
+                [1.0, 2.0],
+                ("complex128", ["complex128"], ["complex128"]),
+            ),
         ],
     )
     def test_arithmetic_follows_the_values(self, monkeypatch, A, b, eigenvalues, dtypes):
-        seen = []
-        svd = np.linalg.svd
+        # dtypes: the arithmetic of the staircase reduction, of each batch
+        # of shifts ranked together, and of each SVD that settles a rank
+        # the batch could not (only where a pencil is rank deficient).
+        reductions, batches, ranked = [], [], []
+        staircase, estimate, svd = verify.staircase, verify._estimated_sigma_min, np.linalg.svd
 
-        def spy(X, *args, **kwargs):
-            seen.append(X.dtype.name)
+        def staircase_spy(*args, **kwargs):
+            form = staircase(*args, **kwargs)
+            reductions.append(form.form.dtype.name)
+            return form
+
+        def estimate_spy(C, shifts):
+            bound = estimate(C, shifts)
+            batches.append(np.result_type(C, shifts).name)
+            return bound
+
+        def svd_spy(X, *args, **kwargs):
+            ranked.append(X.dtype.name)
             return svd(X, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(verify, "staircase", staircase_spy)
+        monkeypatch.setattr(verify, "_estimated_sigma_min", estimate_spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
         pbh_eigenvalue_test(A, b, eigenvalues)
-        assert seen == dtypes
+        assert (reductions, batches, ranked) == ([dtypes[0]], dtypes[1], dtypes[2])
 
 
 class TestPbhEigenvector:
@@ -189,6 +290,23 @@ class TestKalman:
         res = kalman_test(np.array([[0.0]]), [0.0])
         assert not res.controllable
         assert res.rank == 0
+
+    def test_matches_krylov_reference(self):
+        # Against the rank of the explicit [b, Ab, ..., A^(n-1) b], which is
+        # well enough conditioned to rank at n <= 6: block-triangular pairs
+        # with a known reachable dimension k, under a dense similarity.
+        rng = np.random.default_rng(13)
+        for trial in range(60):
+            n = 3 + trial % 4
+            k = trial % (n + 1)
+            A = rng.uniform(-1, 1, (n, n))
+            b = np.zeros(n)
+            b[:k] = rng.uniform(-1, 1, k)
+            A[k:, :k] = 0
+            Q = unitary(rng, n, trial % 2 == 1)
+            A, b = Q @ A @ Q.conj().T, Q @ b
+            assert numerical_rank(controllability_matrix(A, b), 1e-10) == k
+            assert kalman_test(A, b) == KalmanResult(controllable=k == n, rank=k)
 
     def test_pipeline_self_check(self):
         rng = np.random.default_rng(8)
@@ -244,20 +362,21 @@ class TestVerificationReport:
             verification_report(B_WORKED)
 
     def test_kalman_breakdown_is_inconclusive(self):
-        # [b, Ab, A^2 b] overflows: kalman_test raises, the report and the
-        # oracle record an undefined rank and a negative verdict instead.
+        # [b, Ab, A^2 b] would overflow, but the staircase never forms it:
+        # the pair is certified, with no overflow anywhere on the way.
         A = np.diag([1e200, 2e200, 3e200])
         b = np.ones(3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalBreakdown):
-                kalman_test(A, b)
+        with np.errstate(over="raise", invalid="raise"):
+            kalman = kalman_test(A, b)
             report = verification_report(b, A=A, basis=left_eigenbasis(A))
             oracle = brute_force_mcp(A)
-        assert report.kalman.rank is None
-        assert not report.kalman.controllable
-        assert not report.controllable
+        assert kalman == KalmanResult(controllable=True, rank=3)
+        assert report.kalman == kalman
+        assert report.pbh_eigenvalue.ranks == (3, 3, 3)
+        assert report.controllable and report.consistent
         assert report.pbh_eigenvector.controllable
-        assert oracle.kalman_verdicts == (False,)
+        assert oracle.optimal_supports == ((1, 2, 3),)
+        assert oracle.kalman_verdicts == (True,)
 
     def test_tolerances_recorded(self, golden_a, integer_basis):
         report = verification_report(
@@ -265,3 +384,122 @@ class TestVerificationReport:
         )
         assert report.rank_tol == 1e-12
         assert report.tau == 1e-8
+
+
+def sparse_system(rng, n, density=0.02):
+    """Diagonal 1..n with jitter, plus off-diagonal entries of the given density."""
+    A = np.diag(np.arange(1.0, n + 1) + rng.uniform(-0.1, 0.1, n))
+    return A + (rng.random((n, n)) < density) * rng.uniform(-1.0, 1.0, (n, n))
+
+
+class TestStaircase:
+    def test_degenerate_pairs(self):
+        assert verify.staircase(np.eye(3), np.zeros(3)).k == 0
+        assert verify.staircase(np.zeros((3, 3)), np.ones(3)).k == 1
+        assert verify.staircase([[0.0]], [0.0]).k == 0
+        assert verify.staircase([[5.0]], [1e-300]).k == 1
+
+    def test_overflowing_shift_has_full_rank(self):
+        # A at 1e-300 is scaled by about 2^997, which sends a far-away
+        # eigenvalue guess to inf: such a pencil has full rank.
+        A = np.diag([1e-300, 2e-300])
+        res = pbh_eigenvalue_test(A, [1.0, 0.0], [2e-300, 1e10])
+        assert res.ranks == (1, 2)
+
+    def test_scaling_is_exact(self):
+        # Powers of two carry both A and b into [1/2, 1): same k, same tol.
+        rng = np.random.default_rng(11)
+        A = rng.uniform(-1, 1, (6, 6))
+        b = rng.uniform(-1, 1, 6)
+        base = verify.staircase(A, b)
+        for c, d in ((2.0**-900, 1.0), (2.0**900, 2.0**-1000), (1.0, 2.0**1000)):
+            form = verify.staircase(c * A, d * b)
+            assert (form.k, form.tol) == (base.k, base.tol)
+            np.testing.assert_array_equal(form.form, base.form)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_known_controllable_dimension(self, dtype):
+        # A = [[A11, A12], [0, A22]] with b in span(e1..ek), the invariant
+        # subspace of A11: k is exact, and the PBH rank is n - 1 exactly at
+        # the eigenvalues of A22 (the unreachable ones), n elsewhere. A
+        # dense unitary similarity of the pair keeps both.
+        rng = np.random.default_rng(12)
+        seen = set()
+        for trial in range(24):
+            n = 3 + trial % 10
+            k = trial % (n + 1)
+            A = rng.uniform(-1, 1, (n, n)).astype(dtype)
+            b = np.zeros(n, dtype=dtype)
+            b[:k] = rng.uniform(-1, 1, k)
+            if dtype is complex:
+                A += 1j * rng.uniform(-1, 1, (n, n))
+                b[:k] += 1j * rng.uniform(-1, 1, k)
+            A[k:, :k] = 0
+            unreachable = np.linalg.eigvals(A[k:, k:])
+            lam = np.linalg.eigvals(A)
+            expected = tuple(
+                n - 1 if np.isclose(unreachable, ev, rtol=0, atol=1e-9).any() else n
+                for ev in lam
+            )
+            form = verify.staircase(A, b)
+            assert form.k == k
+            assert form.form.dtype == np.dtype(dtype)
+            Q = unitary(rng, n, dtype is complex)
+            for pair in ((A, b), (Q @ A @ Q.conj().T, Q @ b)):
+                assert kalman_test(*pair) == KalmanResult(controllable=k == n, rank=k)
+                assert pbh_eigenvalue_test(*pair, lam).ranks == expected
+                assert reference_pbh_ranks(*pair, lam) == expected
+            seen.add((k == 0, k == n))
+        assert seen == {(True, False), (False, False), (False, True)}
+
+
+class TestCertificationFamily:
+    """Seeded systems the SVD-based certificate used to reject.
+
+    Every solve must be certified, and the staircase verdict must agree
+    with the PBH eigenvector test.
+    """
+
+    @staticmethod
+    def check(A, mode):
+        solution = solve_mcp(A, mode=mode)
+        report = solution.certificate
+        assert report.kalman.controllable and report.kalman.rank == A.shape[0]
+        assert report.pbh_eigenvalue.controllable
+        assert report.pbh_eigenvector.controllable
+        return solution
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50, 60])
+    def test_dense(self, n):
+        for seed in range(3):
+            A = random_simple_matrix(np.random.default_rng([n, seed]), n)
+            self.check(A, "exact" if n <= EXACT_UNIVERSE_LIMIT else "greedy")
+
+    @pytest.mark.parametrize("n", [20, 50, 100, 200])
+    def test_sparse(self, n):
+        for seed in range(3):
+            A = sparse_system(np.random.default_rng([n, seed, 1]), n)
+            self.check(A, "exact" if n <= EXACT_UNIVERSE_LIMIT else "greedy")
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8, 1e12, 1e50, 1e150])
+    def test_scaled_golden(self, golden_a, c):
+        assert self.check(c * golden_a, "exact").support == (2, 3, 4)
+
+    def test_svd_count_does_not_grow_with_n(self, monkeypatch):
+        # One SVD (for ||A||_2 in the residual check) whatever n: the
+        # certificate ranks nothing per eigenvalue on a controllable pair.
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(X, *args, **kwargs):
+            calls.append(X.shape)
+            return svd(X, *args, **kwargs)
+
+        counts = {}
+        for n in (20, 60):
+            A = sparse_system(np.random.default_rng([n, 0, 1]), n)
+            monkeypatch.setattr(np.linalg, "svd", spy)
+            self.check(A, "greedy")
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            counts[n], calls[:] = len(calls), []
+        assert counts[20] == counts[60] <= 2
