@@ -243,8 +243,20 @@ def save_problem(pf: ProblemFile, path: str):
 
 
 def _matrix_digest(matrix) -> str:
-    payload = json.dumps(_complex2j(matrix), separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()
+    """SHA-256 of ``_complex2j(matrix)`` as compact JSON.
+
+    Only the entries other than +0.0 + 0.0j go through the encoder, in one
+    call; every other entry takes the constant "0.0,0.0" between brackets.
+    """
+    M = np.asarray(matrix, dtype=complex)
+    pairs = np.stack([M.real, M.imag], -1)
+    nonzero = ((pairs != 0) | np.signbit(pairs)).any(-1)
+    tokens = np.full(nonzero.shape, "0.0,0.0", dtype=object)
+    if nonzero.any():
+        encoded = json.dumps(pairs[nonzero].tolist(), separators=(",", ":"))
+        tokens[nonzero] = encoded[2:-2].split("],[")
+    payload = "[" + ",".join("[[" + "],[".join(row) + "]]" for row in tokens) + "]"
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

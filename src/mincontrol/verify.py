@@ -246,66 +246,100 @@ def _estimated_sigma_min(C: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(bound), bound, 0.0)
 
 
-def _ranks(C: np.ndarray, shifts, tol: float) -> np.ndarray:
+def _ranks(C: np.ndarray, shifts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Numerical ranks of [beta e1 | H - mu I], one per shift mu.
 
     The rank is the number of singular values above ``tol``. It is n
     without an SVD when ``_estimated_sigma_min`` exceeds _ESTIMATE_MARGIN
     times ``tol``, or when mu is not finite (then |mu| exceeds ||H|| + tol
-    by far); otherwise one SVD decides it. Real shifts of a real form are
-    ranked in float64, the others in complex arithmetic.
+    by far); otherwise one SVD decides it. Each distinct shift is ranked
+    once. For a real form the pencil at conj(mu) is the entrywise
+    conjugate of the one at mu, with the same singular values, and
+    numpy's complex arithmetic is symmetric under conjugation, so a shift
+    with negative imaginary part takes the rank of its conjugate. Real
+    shifts of a real form are ranked in float64, the others in complex
+    arithmetic.
+
+    Returns the ranks and, per shift, whether sigma_min of its pencil is
+    known to exceed 2 ``tol``: from the bound when it cleared the margin
+    (true while the bound overstates sigma_min by less than 32x), from
+    the SVD otherwise. It is False for a non-finite shift.
     """
     n = C.shape[0]
     shifts = np.asarray(shifts, dtype=complex)
-    ranks = np.full(shifts.size, n)
     finite = np.isfinite(shifts)
-    if C.dtype.kind == "f":
-        real = finite & (shifts.imag == 0)
-        groups = ((real, shifts.real), (finite & ~real, shifts))
+    folded = shifts[finite]
+    real_form = C.dtype.kind == "f"
+    if real_form:
+        folded = np.where(folded.imag < 0, folded.conj(), folded)
+    mus, inverse = np.unique(folded, return_inverse=True)
+    distinct_ranks = np.full(mus.size, n)
+    distinct_cleared = np.zeros(mus.size, dtype=bool)
+    if real_form:
+        real = mus.imag == 0
+        groups = ((real, mus.real), (~real, mus))
     else:
-        groups = ((finite, shifts),)
+        groups = ((np.ones(mus.size, dtype=bool), mus),)
     diagonal = np.arange(n)
     for selected, values in groups:
         idx = np.flatnonzero(selected)
         if not idx.size:
             continue
-        mus = values[idx]
-        triangle = (n + 1) * (n + 2) // 2 * np.result_type(C, mus).itemsize
+        group = values[idx]
+        triangle = (n + 1) * (n + 2) // 2 * np.result_type(C, group).itemsize
         size = max(1, _BATCH_BYTES // triangle)
         bound = np.concatenate(
-            [_estimated_sigma_min(C, mus[s : s + size]) for s in range(0, mus.size, size)]
+            [_estimated_sigma_min(C, group[s : s + size]) for s in range(0, group.size, size)]
         )
-        for i in np.flatnonzero(~(bound > _ESTIMATE_MARGIN * tol)):
-            M = C.astype(np.result_type(C, mus))
-            M[diagonal, diagonal + 1] -= mus[i]
+        cleared = bound > _ESTIMATE_MARGIN * tol
+        distinct_cleared[idx] = cleared
+        for i in np.flatnonzero(~cleared):
+            M = C.astype(np.result_type(C, group))
+            M[diagonal, diagonal + 1] -= group[i]
             try:
                 s = np.linalg.svd(M, compute_uv=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
-            ranks[idx[i]] = int(np.sum(s > tol))
-    return ranks
+            distinct_ranks[idx[i]] = int(np.sum(s > tol))
+            distinct_cleared[idx[i]] = s[-1] > 2 * tol
+    ranks = np.full(shifts.size, n)
+    ranks[finite] = distinct_ranks[inverse]
+    cleared = np.zeros(shifts.size, dtype=bool)
+    cleared[finite] = distinct_cleared[inverse]
+    return ranks, cleared
 
 
-def _reachable_modes(form: Staircase) -> np.ndarray:
-    """Eigenvalues of H11 = H[:k, :k], the block b reaches in exact arithmetic."""
-    k = form.k
-    try:
-        return np.linalg.eigvals(form.form[:k, 1 : k + 1]) if k else np.empty(0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
-
-
-def _kalman(form: Staircase, mode_ranks: np.ndarray) -> KalmanResult:
+def _kalman(form: Staircase, anchors: np.ndarray | None = None) -> KalmanResult:
     """Rank of [b, Ab, ..., A^(n-1) b]: k less the unreachable modes of H11.
 
-    ``mode_ranks`` are the ranks of [beta e1 | H11 - mu I] at the
-    eigenvalues mu of H11. In exact arithmetic H11 with beta e1 is
+    The modes are the eigenvalues mu of H11 = H[:k, :k], the block b
+    reaches in exact arithmetic; each is ranked by the pencil
+    [beta e1 | H11 - mu I]. In exact arithmetic H11 with beta e1 is
     reachable and H11 is non-derogatory, so each mu with rank below k is
     one unreachable dimension. A pair can lie within rounding of an
     uncontrollable one with no small subdiagonal (Paige 1981), so k alone
     would overstate the rank.
+
+    ``anchors`` are shifts at which sigma_min of the pencil of the whole
+    form is known to exceed 2 delta (see ``_ranks``). When k = n, a mode
+    within delta of an anchor has rank n without a pencil of its own:
+    sigma_min is 1-Lipschitz in the shift, so at the mode it exceeds
+    2 delta - delta = delta. For an anchor whose bound cleared
+    _ESTIMATE_MARGIN times delta this rests on the bound overstating
+    sigma_min by less than 32x (at most 6.6x on the seeded families of
+    the tests; taking the rank as n from the bound alone needs 64x).
     """
-    rank = form.k - int(np.sum(mode_ranks < form.k))
+    k = form.k
+    try:
+        modes = np.linalg.eigvals(form.form[:k, 1 : k + 1]) if k else np.empty(0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
+    ranks = np.full(k, k)
+    unmatched = np.ones(k, dtype=bool)
+    if anchors is not None and k == form.n:
+        unmatched = ~(np.abs(modes[:, None] - anchors) <= form.tol).any(axis=1)
+    ranks[unmatched] = _ranks(form.form[:k, : k + 1], modes[unmatched], form.tol)[0]
+    rank = k - int(np.sum(ranks < k))
     return KalmanResult(controllable=rank == form.n, rank=rank)
 
 
@@ -337,7 +371,7 @@ def pbh_eigenvalue_test(
     """
     form = staircase(A, b, rank_tol)
     shifts = _scaled_eigenvalues(form, eigenvalues)
-    return _pbh_eigenvalue(form, _ranks(form.form, shifts, form.tol))
+    return _pbh_eigenvalue(form, _ranks(form.form, shifts, form.tol)[0])
 
 
 def pbh_eigenvector_test(
@@ -370,9 +404,7 @@ def kalman_test(A, b, rank_tol: float | None = None) -> KalmanResult:
     overflow and its rank is not blurred by their growing scale. See
     ``_kalman`` for the rule.
     """
-    form = staircase(A, b, rank_tol)
-    block = form.form[: form.k, : form.k + 1]
-    return _kalman(form, _ranks(block, _reachable_modes(form), form.tol))
+    return _kalman(staircase(A, b, rank_tol))
 
 
 def verification_report(
@@ -386,9 +418,13 @@ def verification_report(
 
     With a matrix, one ``staircase`` reduction gives both the Kalman
     result and (with a basis) the PBH-eigenvalue ranks, the same values
-    ``kalman_test`` and ``pbh_eigenvalue_test`` give. When b reaches the
-    whole form (k = n) both rank pencils of [beta e1 | H], so their
-    shifts are ranked in one batch.
+    ``kalman_test`` and ``pbh_eigenvalue_test`` give. The PBH shifts are
+    ranked first. When b reaches the whole form (k = n) both tests rank
+    pencils of [beta e1 | H], and a Kalman mode within delta of a shift
+    with sigma_min above 2 delta takes rank n from it (see ``_kalman``).
+    The modes and the shifts are two computed copies of one spectrum, so
+    a certified pair whose every mode finds such a shift ranks at most n
+    pencils, not 2n.
     """
     if A is None and basis is None:
         raise ValueError("verification needs a matrix, an eigenbasis, or both")
@@ -396,19 +432,12 @@ def verification_report(
     kalman = pbh_val = None
     if A is not None:
         form = staircase(A, b, rank_tol)
-        k, modes = form.k, _reachable_modes(form)
-        block = form.form[:k, : k + 1]
-        if basis is None:
-            kalman = _kalman(form, _ranks(block, modes, form.tol))
-        else:
+        anchors = None
+        if basis is not None:
             shifts = _scaled_eigenvalues(form, basis.eigenvalues)
-            if k == form.n:
-                ranks = _ranks(form.form, np.concatenate([modes, shifts]), form.tol)
-                mode_ranks, ranks = ranks[:k], ranks[k:]
-            else:
-                mode_ranks = _ranks(block, modes, form.tol)
-                ranks = _ranks(form.form, shifts, form.tol)
-            kalman, pbh_val = _kalman(form, mode_ranks), _pbh_eigenvalue(form, ranks)
+            ranks, cleared = _ranks(form.form, shifts, form.tol)
+            pbh_val, anchors = _pbh_eigenvalue(form, ranks), shifts[cleared]
+        kalman = _kalman(form, anchors)
     return VerificationReport(
         pbh_eigenvalue=pbh_val,
         pbh_eigenvector=pbh_vec,

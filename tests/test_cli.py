@@ -152,12 +152,16 @@ class TestLoadProblem:
         M[1, 2] = complex(0.0, -0.0)
         M[2, 3] = complex(1e300, -1e-300)
         M[3, 4] = 7.0
-        per_entry = [
-            [[float(np.real(z)), float(np.imag(z))] for z in row] for row in M
-        ]
-        payload = json.dumps(per_entry, separators=(",", ":")).encode()
-        assert _matrix_digest(M) == hashlib.sha256(payload).hexdigest()
-        assert _matrix_digest(M.real) == _matrix_digest(M.real.astype(complex))
+        # mostly +0.0 entries, which the digest does not encode one by one
+        S = np.where(rng.random((100, 100)) < 0.03, rng.uniform(-1, 1, (100, 100)), 0.0)
+        S[4, 7], S[50, 2], S[99, 99], S[0, 99] = -0.0, 5e-324, 1e300, -2.5e-310
+        for M in (M, np.zeros((4, 4)), np.array([[3.0]]), S, S * 1j):
+            per_entry = [
+                [[float(np.real(z)), float(np.imag(z))] for z in row] for row in M
+            ]
+            payload = json.dumps(per_entry, separators=(",", ":")).encode()
+            assert _matrix_digest(M) == hashlib.sha256(payload).hexdigest()
+            assert _matrix_digest(M.real) == _matrix_digest(M.real.astype(complex))
 
 
 class TestMalformedProblemMessages:

@@ -99,6 +99,35 @@ def unitary(rng, n, complex_entries):
     return np.linalg.qr(Z)[0]
 
 
+def count_bounded_shifts(monkeypatch):
+    """Spy on ``_estimated_sigma_min``; the list holds each batch's size."""
+    sizes = []
+    estimate = verify._estimated_sigma_min
+
+    def spy(C, shifts):
+        sizes.append(shifts.size)
+        return estimate(C, shifts)
+
+    monkeypatch.setattr(verify, "_estimated_sigma_min", spy)
+    return sizes
+
+
+def check_ranked_once(monkeypatch, A, b, basis):
+    """``verification_report`` gives the stand-alone tests' results, and on
+    a k = n pair bounds at most n shifts plus one per deficient PBH rank
+    (a mode next to a deficient shift has no anchor to take its rank from)."""
+    sizes = count_bounded_shifts(monkeypatch)
+    report = verification_report(b, A=A, basis=basis)
+    monkeypatch.undo()
+    n = len(A)
+    deficient = sum(r < n for r in report.pbh_eigenvalue.ranks)
+    if verify.staircase(A, b).k == n:
+        assert sum(sizes) <= n + deficient
+    assert report.kalman == kalman_test(A, b)
+    assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, basis.eigenvalues)
+    return report
+
+
 def real_spectrum_matrix(rng, n):
     """Sparse real matrix around diag(1..n): a real, simple spectrum."""
     A = np.diag(np.arange(1.0, n + 1) + rng.uniform(-0.1, 0.1, n))
@@ -173,10 +202,28 @@ class TestPbhRanksAgainstComplexReference:
         assert pbh_eigenvalue_test(A, b, [1.0, 2.0]).ranks == (2, 1)
         assert reference_pbh_ranks(A, b, [1.0, 2.0]) == (2, 1)
 
-    def test_rotated_ranks(self):
+    def test_conjugate_shifts_share_a_rank(self, monkeypatch):
+        # A real pair's eigenvalues come in exact conjugate pairs; each
+        # pair is bounded once and both members take its rank.
+        pairs_seen = 0
+        for A, b, lam in self.cases():
+            if np.iscomplexobj(A) or np.iscomplexobj(b):
+                continue
+            sizes = count_bounded_shifts(monkeypatch)
+            ranks = pbh_eigenvalue_test(A, b, lam).ranks
+            monkeypatch.undo()
+            pairs = int(np.sum(lam.imag > 0))
+            assert np.sum(lam.imag < 0) == pairs
+            assert sum(sizes) == int(np.sum(lam.imag == 0)) + pairs
+            assert ranks == reference_pbh_ranks(A, b, lam)
+            pairs_seen += pairs
+        assert pairs_seen
+
+    def test_rotated_ranks(self, monkeypatch):
         # The same pairs under a dense unitary similarity: no exact zero is
         # left for the staircase to cut at, yet the PBH ranks still match
         # the reference and the Kalman rank drops one per unreachable mode.
+        # The combined report ranks each pencil once and agrees with both.
         rng = np.random.default_rng(406)
         deficient = 0
         for A, b, lam in self.cases():
@@ -188,6 +235,7 @@ class TestPbhRanksAgainstComplexReference:
             assert kalman_test(A, b) == KalmanResult(
                 controllable=not unreachable, rank=len(A) - unreachable
             )
+            check_ranked_once(monkeypatch, A, b, left_eigenbasis(A))
             deficient += bool(unreachable)
         assert deficient
 
@@ -378,6 +426,25 @@ class TestVerificationReport:
         assert oracle.optimal_supports == ((1, 2, 3),)
         assert oracle.kalman_verdicts == (True,)
 
+    def test_inaccurate_basis_modes_ranked_directly(self, monkeypatch):
+        # Eigenvalues moved by about 10 delta still pass the residual check,
+        # but no mode lies within delta of them: every mode gets a pencil
+        # of its own, and the Kalman result is kalman_test's.
+        rng = np.random.default_rng(409)
+        A = real_spectrum_matrix(rng, 8)
+        b = rng.normal(size=8)
+        form = verify.staircase(A, b)
+        computed = left_eigenbasis(A)
+        moved = computed.eigenvalues + 10 * form.tol / form.scale
+        basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
+        assert form.k == 8 and not moved.imag.any()
+        sizes = count_bounded_shifts(monkeypatch)
+        report = verification_report(b, A=A, basis=basis)
+        monkeypatch.undo()
+        assert sum(sizes) == 16
+        assert report.kalman == kalman_test(A, b) == KalmanResult(controllable=True, rank=8)
+        assert report.pbh_eigenvalue.controllable
+
     def test_tolerances_recorded(self, golden_a, integer_basis):
         report = verification_report(
             B_WORKED, A=golden_a, basis=integer_basis, rank_tol=1e-12, tau=1e-8
@@ -476,10 +543,12 @@ class TestCertificationFamily:
             self.check(A, "exact" if n <= EXACT_UNIVERSE_LIMIT else "greedy")
 
     @pytest.mark.parametrize("n", [20, 50, 100, 200])
-    def test_sparse(self, n):
+    def test_sparse(self, monkeypatch, n):
         for seed in range(3):
             A = sparse_system(np.random.default_rng([n, seed, 1]), n)
-            self.check(A, "exact" if n <= EXACT_UNIVERSE_LIMIT else "greedy")
+            solution = self.check(A, "exact" if n <= EXACT_UNIVERSE_LIMIT else "greedy")
+            report = check_ranked_once(monkeypatch, A, solution.vector, left_eigenbasis(A))
+            assert report == solution.certificate
 
     @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8, 1e12, 1e50, 1e150])
     def test_scaled_golden(self, golden_a, c):
