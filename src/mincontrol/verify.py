@@ -252,61 +252,60 @@ def _ranks(C: np.ndarray, shifts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     The rank is the number of singular values above ``tol``. It is n
     without an SVD when ``_estimated_sigma_min`` exceeds _ESTIMATE_MARGIN
     times ``tol``, or when mu is not finite (then |mu| exceeds ||H|| + tol
-    by far); otherwise one SVD decides it. Each distinct shift is ranked
-    once. For a real form the pencil at conj(mu) is the entrywise
-    conjugate of the one at mu, with the same singular values, and
-    numpy's complex arithmetic is symmetric under conjugation, so a shift
-    with negative imaginary part takes the rank of its conjugate. Real
-    shifts of a real form are ranked in float64, the others in complex
-    arithmetic.
+    by far); otherwise one SVD decides it. Real shifts of a real form are
+    ranked in float64, the others in complex arithmetic.
 
     Returns the ranks and, per shift, whether sigma_min of its pencil is
-    known to exceed 2 ``tol``: from the bound when it cleared the margin
-    (true while the bound overstates sigma_min by less than 32x), from
-    the SVD otherwise. It is False for a non-finite shift.
+    known to exceed 2 ``tol``: from the bound when it exceeds twice the
+    margin (on the same less-than-64x overstatement that taking the rank
+    as n from the bound assumes), from the SVD when the shift took one.
+    It is False for a non-finite shift.
     """
     n = C.shape[0]
     shifts = np.asarray(shifts, dtype=complex)
+    ranks = np.full(shifts.size, n)
+    anchored = np.zeros(shifts.size, dtype=bool)
     finite = np.isfinite(shifts)
-    folded = shifts[finite]
-    real_form = C.dtype.kind == "f"
-    if real_form:
-        folded = np.where(folded.imag < 0, folded.conj(), folded)
-    mus, inverse = np.unique(folded, return_inverse=True)
-    distinct_ranks = np.full(mus.size, n)
-    distinct_cleared = np.zeros(mus.size, dtype=bool)
-    if real_form:
-        real = mus.imag == 0
-        groups = ((real, mus.real), (~real, mus))
+    if C.dtype.kind == "f":
+        real = finite & (shifts.imag == 0)
+        groups = ((real, shifts.real), (finite & ~real, shifts))
     else:
-        groups = ((np.ones(mus.size, dtype=bool), mus),)
+        groups = ((finite, shifts),)
     diagonal = np.arange(n)
     for selected, values in groups:
         idx = np.flatnonzero(selected)
         if not idx.size:
             continue
-        group = values[idx]
-        triangle = (n + 1) * (n + 2) // 2 * np.result_type(C, group).itemsize
+        mus = values[idx]
+        triangle = (n + 1) * (n + 2) // 2 * np.result_type(C, mus).itemsize
         size = max(1, _BATCH_BYTES // triangle)
         bound = np.concatenate(
-            [_estimated_sigma_min(C, group[s : s + size]) for s in range(0, group.size, size)]
+            [_estimated_sigma_min(C, mus[s : s + size]) for s in range(0, mus.size, size)]
         )
-        cleared = bound > _ESTIMATE_MARGIN * tol
-        distinct_cleared[idx] = cleared
-        for i in np.flatnonzero(~cleared):
-            M = C.astype(np.result_type(C, group))
-            M[diagonal, diagonal + 1] -= group[i]
+        anchored[idx] = bound > 2 * _ESTIMATE_MARGIN * tol
+        for i in np.flatnonzero(~(bound > _ESTIMATE_MARGIN * tol)):
+            M = C.astype(np.result_type(C, mus))
+            M[diagonal, diagonal + 1] -= mus[i]
             try:
                 s = np.linalg.svd(M, compute_uv=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
-            distinct_ranks[idx[i]] = int(np.sum(s > tol))
-            distinct_cleared[idx[i]] = s[-1] > 2 * tol
-    ranks = np.full(shifts.size, n)
-    ranks[finite] = distinct_ranks[inverse]
-    cleared = np.zeros(shifts.size, dtype=bool)
-    cleared[finite] = distinct_cleared[inverse]
-    return ranks, cleared
+            ranks[idx[i]] = int(np.sum(s > tol))
+            anchored[idx[i]] = s[-1] > 2 * tol
+    return ranks, anchored
+
+
+def _near(modes: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each mode lies within ``tol`` of some anchor.
+
+    Modes are compared in batches of at most _BATCH_BYTES of differences.
+    """
+    near = np.zeros(modes.size, dtype=bool)
+    if anchors.size:
+        size = max(1, _BATCH_BYTES // (anchors.size * anchors.itemsize))
+        for s in range(0, modes.size, size):
+            near[s : s + size] = (np.abs(modes[s : s + size, None] - anchors) <= tol).any(axis=1)
+    return near
 
 
 def _kalman(form: Staircase, anchors: np.ndarray | None = None) -> KalmanResult:
@@ -324,10 +323,7 @@ def _kalman(form: Staircase, anchors: np.ndarray | None = None) -> KalmanResult:
     form is known to exceed 2 delta (see ``_ranks``). When k = n, a mode
     within delta of an anchor has rank n without a pencil of its own:
     sigma_min is 1-Lipschitz in the shift, so at the mode it exceeds
-    2 delta - delta = delta. For an anchor whose bound cleared
-    _ESTIMATE_MARGIN times delta this rests on the bound overstating
-    sigma_min by less than 32x (at most 6.6x on the seeded families of
-    the tests; taking the rank as n from the bound alone needs 64x).
+    2 delta - delta = delta.
     """
     k = form.k
     try:
@@ -337,7 +333,7 @@ def _kalman(form: Staircase, anchors: np.ndarray | None = None) -> KalmanResult:
     ranks = np.full(k, k)
     unmatched = np.ones(k, dtype=bool)
     if anchors is not None and k == form.n:
-        unmatched = ~(np.abs(modes[:, None] - anchors) <= form.tol).any(axis=1)
+        unmatched = ~_near(modes, anchors, form.tol)
     ranks[unmatched] = _ranks(form.form[:k, : k + 1], modes[unmatched], form.tol)[0]
     rank = k - int(np.sum(ranks < k))
     return KalmanResult(controllable=rank == form.n, rank=rank)
@@ -435,8 +431,8 @@ def verification_report(
         anchors = None
         if basis is not None:
             shifts = _scaled_eigenvalues(form, basis.eigenvalues)
-            ranks, cleared = _ranks(form.form, shifts, form.tol)
-            pbh_val, anchors = _pbh_eigenvalue(form, ranks), shifts[cleared]
+            ranks, anchored = _ranks(form.form, shifts, form.tol)
+            pbh_val, anchors = _pbh_eigenvalue(form, ranks), shifts[anchored]
         kalman = _kalman(form, anchors)
     return VerificationReport(
         pbh_eigenvalue=pbh_val,

@@ -202,23 +202,6 @@ class TestPbhRanksAgainstComplexReference:
         assert pbh_eigenvalue_test(A, b, [1.0, 2.0]).ranks == (2, 1)
         assert reference_pbh_ranks(A, b, [1.0, 2.0]) == (2, 1)
 
-    def test_conjugate_shifts_share_a_rank(self, monkeypatch):
-        # A real pair's eigenvalues come in exact conjugate pairs; each
-        # pair is bounded once and both members take its rank.
-        pairs_seen = 0
-        for A, b, lam in self.cases():
-            if np.iscomplexobj(A) or np.iscomplexobj(b):
-                continue
-            sizes = count_bounded_shifts(monkeypatch)
-            ranks = pbh_eigenvalue_test(A, b, lam).ranks
-            monkeypatch.undo()
-            pairs = int(np.sum(lam.imag > 0))
-            assert np.sum(lam.imag < 0) == pairs
-            assert sum(sizes) == int(np.sum(lam.imag == 0)) + pairs
-            assert ranks == reference_pbh_ranks(A, b, lam)
-            pairs_seen += pairs
-        assert pairs_seen
-
     def test_rotated_ranks(self, monkeypatch):
         # The same pairs under a dense unitary similarity: no exact zero is
         # left for the staircase to cut at, yet the PBH ranks still match
@@ -444,6 +427,20 @@ class TestVerificationReport:
         assert sum(sizes) == 16
         assert report.kalman == kalman_test(A, b) == KalmanResult(controllable=True, rank=8)
         assert report.pbh_eigenvalue.controllable
+
+    @pytest.mark.parametrize("margins, anchored", [(1.5, False), (2.5, True)])
+    def test_bound_anchors_above_twice_the_margin(self, monkeypatch, margins, anchored):
+        # A bound above the margin gives rank n. It anchors Kalman modes
+        # only above twice the margin: then sigma_min > 2 delta under the
+        # same overstatement the margin itself assumes.
+        rng = np.random.default_rng(410)
+        A = real_spectrum_matrix(rng, 6)
+        form = verify.staircase(A, rng.normal(size=6))
+        bound = margins * verify._ESTIMATE_MARGIN * form.tol
+        monkeypatch.setattr(verify, "_estimated_sigma_min", lambda C, s: np.full(s.size, bound))
+        ranks, anchors = verify._ranks(form.form, np.linalg.eigvals(A) * form.scale, form.tol)
+        assert (ranks == 6).all()
+        assert (anchors == anchored).all()
 
     def test_tolerances_recorded(self, golden_a, integer_basis):
         report = verification_report(
