@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 infeasible or unverifiable, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -631,7 +632,9 @@ def _emit(report: dict, args) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("problem", help="problem file (JSON or whitespace matrix)")
     common.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -4,13 +4,18 @@ Set indices are 1-based throughout the public interface, matching the
 customary S_1..S_n naming. The exact solver is deterministic: among all
 minimum-cardinality covers it returns the lexicographically smallest
 index set. It finds the optimal size by branch-and-bound, then rebuilds
-the lexicographically smallest cover of that size.
+the lexicographically smallest cover of that size in one pass over the
+sets in index order, keeping a set whenever the rest can still be
+covered within the budget. Both searches branch on the uncovered
+element with the fewest covering sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
 from typing import Iterable
+
+import numpy as np
 
 from .errors import IndexOutOfRange, TooLarge
 
@@ -101,14 +106,71 @@ def _greedy_masks(universe: int, masks: list[int]) -> list[int]:
     return chosen
 
 
+def _element_masks(masks: list[int], width: int) -> tuple[list[int], list[int]]:
+    """Per element e: the sets covering e and the elements sharing a set with e.
+
+    Both are bitmasks: bit i stands for set i in the first, for element i
+    in the second.
+    """
+    nbytes = (width + 7) // 8
+    rows = np.frombuffer(
+        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
+    ).reshape(len(masks), nbytes)
+    incidence = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    weights = incidence.astype(np.float32)
+
+    def row_masks(bits: np.ndarray) -> list[int]:
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    return row_masks(incidence.T), row_masks(weights.T @ weights > 0)
+
+
+def _packing_bound(uncovered: int, neighbours: list[int], cap: int) -> int:
+    """Uncovered elements that pairwise share no set, counted up to ``cap``.
+
+    Each of them needs a set of its own, so the count is a lower bound
+    on the sets still needed.
+    """
+    need = 0
+    while uncovered and need < cap:
+        uncovered &= ~neighbours[(uncovered & -uncovered).bit_length() - 1]
+        need += 1
+    return need
+
+
+def _branch_sets(uncovered: int, sets_of: list[int], lo: int) -> list[int]:
+    """Indices >= lo of the sets covering the uncovered element that has fewest.
+
+    ``sets_of[e]`` is the bitmask of the sets covering element e. The
+    list is empty when some uncovered element has no such set.
+    """
+    best, fewest = 0, -1
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        sets = sets_of[low.bit_length() - 1] >> lo
+        count = sets.bit_count()
+        if fewest < 0 or count < fewest:
+            best, fewest = sets, count
+            if count <= 1:
+                break
+    indices = []
+    while best:
+        low = best & -best
+        best ^= low
+        indices.append(lo + low.bit_length() - 1)
+    return indices
+
+
 def _min_cover_size(universe: int, masks: list[int]) -> int:
     """Branch-and-bound optimal cover size.
 
     Dominated sets (subsets of another set) are dropped first: any cover
     using a dominated set maps to one of equal size using its dominator,
     so the optimal size is preserved. Branches on the least-covered
-    uncovered element; prunes with a counting lower bound, a greedy
-    upper bound, and a best-effort-per-state memo.
+    uncovered element; prunes with counting and packing lower bounds, a
+    greedy upper bound, and a best-effort-per-state memo.
     """
     if universe == 0:
         return 0
@@ -119,9 +181,7 @@ def _min_cover_size(universe: int, masks: list[int]) -> int:
             continue
         kept.append(masks[i])
     max_size = max(m.bit_count() for m in kept)
-    covering = {}
-    for e in range(universe.bit_length()):
-        covering[e] = [m for m in kept if m >> e & 1]
+    sets_of, neighbours = _element_masks(kept, universe.bit_length())
     best = len(_greedy_masks(universe, kept))
     seen: dict[int, int] = {}
     def dfs(uncovered: int, used: int):
@@ -135,61 +195,58 @@ def _min_cover_size(universe: int, masks: list[int]) -> int:
         if prev is not None and prev <= used:
             return
         seen[uncovered] = used
-        e = min(
-            (x for x in range(universe.bit_length()) if uncovered >> x & 1),
-            key=lambda x: len(covering[x]),
-        )
-        for m in covering[e]:
-            dfs(uncovered & ~m, used + 1)
+        if used + _packing_bound(uncovered, neighbours, best - used) >= best:
+            return
+        for i in _branch_sets(uncovered, sets_of, 0):
+            dfs(uncovered & ~kept[i], used + 1)
     dfs(universe, 0)
     return best
 
 
 def _lex_smallest_cover(universe: int, masks: list[int], k: int) -> tuple[int, ...]:
-    """Lexicographically smallest size-k cover over the original family."""
-    n = len(masks)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    max_size = max((m.bit_count() for m in masks), default=1)
-    failed: dict[tuple[int, int], int] = {}
+    """Lexicographically smallest size-k cover over the original family.
 
-    def feasible(uncovered: int, i: int, budget: int) -> bool:
+    One pass in index order takes set i whenever the elements it leaves
+    uncovered can still be covered by the remaining budget of sets of
+    index above i. That test branches on the uncovered element with the
+    fewest such sets, trying each of them: every cover must cover that
+    element, so the search is complete. It prunes with the counting and
+    packing bounds of the branch-and-bound. The lowest admissible index
+    only grows during the pass, so a failure recorded at one index holds
+    at every later one and the memo is keyed on the uncovered elements
+    alone.
+    """
+    sets_of, neighbours = _element_masks(masks, universe.bit_length())
+    max_size = max(m.bit_count() for m in masks)
+    failed: dict[int, int] = {}
+    lo = 0
+
+    def feasible(uncovered: int, budget: int) -> bool:
         if uncovered == 0:
             return True
-        if budget <= 0 or i >= n:
+        if uncovered.bit_count() > budget * max_size:
             return False
-        if suffix[i] & uncovered != uncovered:
+        if failed.get(uncovered, -1) >= budget:
             return False
-        if ceil(uncovered.bit_count() / max_size) > budget:
-            return False
-        key = (uncovered, i)
-        if failed.get(key, -1) >= budget:
-            return False
-        if masks[i] & uncovered and feasible(uncovered & ~masks[i], i + 1, budget - 1):
+        if _packing_bound(uncovered, neighbours, budget + 1) <= budget and any(
+            feasible(uncovered & ~masks[i], budget - 1)
+            for i in _branch_sets(uncovered, sets_of, lo)
+        ):
             return True
-        if feasible(uncovered, i + 1, budget):
-            return True
-        failed[key] = max(failed.get(key, -1), budget)
+        failed[uncovered] = budget
         return False
 
     chosen: list[int] = []
-    covered = 0
-    start = 0
-    budget = k
-    while covered != universe:
-        for i in range(start, n):
-            gain = masks[i] & ~covered
-            if not gain:
-                continue
-            if feasible(universe & ~(covered | masks[i]), i + 1, budget - 1):
-                chosen.append(i)
-                covered |= masks[i]
-                start = i + 1
-                budget -= 1
-                break
-        else:
-            raise AssertionError("no size-k cover found; k below optimum")
+    uncovered = universe
+    for i, m in enumerate(masks):
+        if uncovered == 0:
+            break
+        lo = i + 1
+        if m & uncovered and feasible(uncovered & ~m, k - len(chosen) - 1):
+            chosen.append(i)
+            uncovered &= ~m
+    if uncovered:
+        raise AssertionError("no size-k cover found; k below optimum")
     return tuple(chosen)
 
 

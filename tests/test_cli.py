@@ -283,6 +283,11 @@ class TestSolveMcpCommand:
     def test_byte_identical_runs(self, capsys, golden_path):
         run_command(["solve-mcp", golden_path, "--json", "--no-timings"])
         first = capsys.readouterr().out
+        # the parser is shared, so runs with other or rejected flags in
+        # between must leave no trace
+        run_command(["solve-mcp", golden_path, "--mode", "greedy", "--zero-tol", "1e-3"])
+        run_command(["solve-mcp", golden_path, "--mode", "quantum"])
+        capsys.readouterr()
         run_command(["solve-mcp", golden_path, "--json", "--no-timings"])
         second = capsys.readouterr().out
         assert first == second

@@ -9,9 +9,12 @@ from mincontrol import (
     IndexOutOfRange,
     SetCoverInstance,
     TooLarge,
+    build_cover_instance,
     is_cover,
+    left_eigenbasis,
     solve_exact,
     solve_greedy,
+    structural_pattern,
 )
 
 # The worked instance: position sets over the eigenvector universe {1..5}.
@@ -40,15 +43,49 @@ def brute_minimum(instance):
     raise AssertionError
 
 
-def random_instance(rng, n_sets, universe_size):
+def random_instance(rng, n_sets, universe_size, density=0.4):
     universe = set(range(1, universe_size + 1))
     while True:
         sets = [
-            frozenset(e for e in universe if rng.random() < 0.4)
+            frozenset(e for e in universe if rng.random() < density)
             for _ in range(n_sets)
         ]
         if set().union(*sets) == universe:
             return SetCoverInstance(frozenset(universe), tuple(sets))
+
+
+def milp_optimum(instance):
+    """Reference: the minimum cover size from scipy's MILP solver."""
+    import numpy as np
+
+    optimize = pytest.importorskip("scipy.optimize")
+    elements = sorted(instance.universe)
+    incidence = np.array(
+        [[e in s for s in instance.sets] for e in elements], dtype=float
+    )
+    ones = np.ones(instance.n_sets)
+    reference = optimize.milp(
+        ones,
+        constraints=optimize.LinearConstraint(incidence, lb=1),
+        integrality=ones,
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert reference.success
+    return round(reference.fun)
+
+
+def sparse_cover_instance(n, density, seed):
+    """Cover instance of a sparse system: diagonal 1..n with jitter, entries
+    of the given density off it, patterns at the default tolerances."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    A = np.diag(np.arange(1, n + 1) + rng.uniform(-0.2, 0.2, n))
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, False)
+    A[mask] = rng.uniform(-1.0, 1.0, int(mask.sum()))
+    basis = left_eigenbasis(A)
+    return build_cover_instance([structural_pattern(v) for v in basis.vectors])
 
 
 class TestIsCover:
@@ -109,6 +146,21 @@ class TestSolveExact:
         brute = brute_minimum(inst)
         assert set(solve_exact(inst).indices) == brute == {1, 3}
 
+    def test_failed_state_retried_with_larger_budget(self):
+        # After set 1, {4, 6, 7} is left to one set and fails; after set 2
+        # the same elements come back with a budget of two.
+        inst = SetCoverInstance(
+            frozenset(range(1, 8)),
+            (
+                frozenset({3}),
+                frozenset({1, 2, 3, 5}),
+                frozenset({4, 7}),
+                frozenset({4, 5, 6}),
+            ),
+        )
+        assert brute_minimum(inst) == {2, 3, 4}
+        assert solve_exact(inst).sorted_indices == (2, 3, 4)
+
     def test_empty_universe(self):
         inst = SetCoverInstance(frozenset(), ())
         assert solve_exact(inst).sorted_indices == ()
@@ -140,31 +192,50 @@ class TestSolveExact:
             assert len(got.indices) == len(want)
             assert set(got.indices) == want
 
+    def test_tie_break_mid_size(self):
+        # 20-40 sets over 15-30 elements with optimum at most 4: most of
+        # these families have several optimal covers, so the order in which
+        # the reconstruction searches decides which one comes back
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 30:
+            inst = random_instance(
+                rng,
+                int(rng.integers(20, 41)),
+                int(rng.integers(15, 31)),
+                density=float(rng.uniform(0.3, 0.45)),
+            )
+            got = solve_exact(inst)
+            if got.size > 4:
+                continue
+            assert set(got.indices) == brute_minimum(inst)
+            checked += 1
+
     def test_size_matches_milp(self):
         # 21-40 sets over at most 20 elements; scipy's MILP gives the optimum
         import numpy as np
 
-        optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(4)
         for _ in range(30):
             inst = random_instance(
                 rng, int(rng.integers(21, 41)), int(rng.integers(5, 21))
             )
-            elements = sorted(inst.universe)
-            incidence = np.array(
-                [[e in s for s in inst.sets] for e in elements], dtype=float
-            )
-            ones = np.ones(inst.n_sets)
-            reference = optimize.milp(
-                ones,
-                constraints=optimize.LinearConstraint(incidence, lb=1),
-                integrality=ones,
-                bounds=optimize.Bounds(0, 1),
-            )
-            assert reference.success
             got = solve_exact(inst)
             assert is_cover(inst, got.indices)
-            assert got.size == round(reference.fun)
+            assert got.size == milp_optimum(inst)
+
+    @pytest.mark.parametrize(
+        "n, seed", [(100, 0), (100, 1), (150, 0), (150, 2), (200, 0), (200, 1), (200, 2)]
+    )
+    def test_sparse_system_size_matches_milp(self, n, seed):
+        # Eigenvector covers of sparse systems: n=150 and n=200 with seed 2
+        # defeat include-or-skip branching over the sets in index order.
+        inst = sparse_cover_instance(n, 0.02, seed)
+        got = solve_exact(inst, exact_limit=n)
+        assert is_cover(inst, got.indices)
+        assert got.size == milp_optimum(inst)
 
     def test_deterministic(self):
         import numpy as np
