@@ -14,11 +14,13 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .numerics import LeftEigenbasis, left_eigenbasis, perturb_nonzero
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
 from .structural import _compatible_input, _mscp_condensation, _sparsest_input
-from .structure import StructuralMatrix, structural_geq, structural_pattern
+from .structure import StructuralMatrix, _nonzero_mask, _patterns, structural_geq
 from .tolerances import DEFAULT_ZERO_TOL, Tolerances
 from .verify import kalman_test, pbh_eigenvalue_test, pbh_eigenvector_test
 
@@ -252,11 +254,16 @@ def _matrix_digest(matrix) -> str:
     M = np.asarray(matrix, dtype=complex)
     pairs = np.stack([M.real, M.imag], -1)
     nonzero = ((pairs != 0) | np.signbit(pairs)).any(-1)
-    tokens = np.full(nonzero.shape, "0.0,0.0", dtype=object)
+    tokens = ["0.0,0.0"] * M.size
     if nonzero.any():
         encoded = json.dumps(pairs[nonzero].tolist(), separators=(",", ":"))
-        tokens[nonzero] = encoded[2:-2].split("],[")
-    payload = "[" + ",".join("[[" + "],[".join(row) + "]]" for row in tokens) + "]"
+        for k, token in zip(np.flatnonzero(nonzero).tolist(), encoded[2:-2].split("],[")):
+            tokens[k] = token
+    cols = M.shape[1]
+    payload = "[" + ",".join(
+        "[[" + "],[".join(tokens[start : start + cols]) + "]]"
+        for start in range(0, M.size, cols)
+    ) + "]"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -536,7 +543,7 @@ def _cmd_eig(args) -> tuple[int, dict]:
     tol, _ = _effective_tolerances(args, pf)
     report = _base_report("eig", args.problem, pf, tol)
     basis, basis_source = _resolve_basis(pf, pf.matrix, tol)
-    patterns = [structural_pattern(v, tol.zero_tol) for v in basis.vectors]
+    patterns = _patterns(_nonzero_mask(basis.vectors, tol.zero_tol))
     report.update(
         {
             "eigenbasis_source": basis_source,
@@ -625,8 +632,65 @@ def _render_text(report: dict) -> str:
 
 def _emit(report: dict, args) -> str:
     if args.json:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        out: list[str] = []
+        _write_json(report, "\n", out)
+        return "".join(out) + "\n"
     return _render_text(report)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append ``json.dumps(value, indent=2, sort_keys=True)`` to ``out`` in pieces.
+
+    ``newline`` is a newline plus the indent of the line ``value`` starts
+    on. ``json`` encodes with its pure-Python encoder whenever ``indent``
+    is set; this writes the same text for the dicts with string keys,
+    lists, strings, ints, finite floats and None that reports are made
+    of, and hands any other value to ``json.dumps``.
+    """
+    kind = type(value)
+    inner = newline + "  "
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+            return
+        out.append("[" + inner + ("," + inner).join(items) + newline + "]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------

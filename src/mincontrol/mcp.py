@@ -1,8 +1,9 @@
 """Sparsest-input placement: reduction to set cover plus numerical realization.
 
-The pipeline: extract the zero/nonzero pattern of every left-eigenvector,
-turn the patterns into a set-cover instance (position i's set collects
-the eigenvectors that are nonzero there), solve the cover, and realize a
+The pipeline: threshold the whole left-eigenbasis once into a boolean
+incidence, whose rows are the eigenvector patterns and whose column i is
+the set-cover instance's set i (the eigenvectors that are nonzero at
+position i), solve the cover on its bitmasks, and realize a
 numerical input vector on the chosen support that is non-orthogonal to
 every eigenvector. One orthogonal staircase reduction of (A, b)
 certifies the result (``verify.staircase``): the Kalman rank and every
@@ -35,10 +36,10 @@ from .setcover import (
     EXACT_UNIVERSE_LIMIT,
     CoverSolution,
     SetCoverInstance,
-    solve_exact,
-    solve_greedy,
+    _exact_cover,
+    _greedy_cover,
 )
-from .structure import StructuralVector, _nonzero_mask, structural_pattern
+from .structure import StructuralVector, _nonzero_mask, _patterns
 from .tolerances import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -114,7 +115,7 @@ class McpSolution:
         object.__setattr__(self, "vector", vec)
         if self.pattern.support != tuple(sorted(self.cover_indices)):
             raise ValueError("pattern stars do not match the cover indices")
-        nonzero = tuple(i + 1 for i in range(vec.size) if vec[i] != 0)
+        nonzero = tuple((np.flatnonzero(vec) + 1).tolist())
         if nonzero != self.pattern.support:
             raise ValueError("vector support does not match the pattern")
 
@@ -139,16 +140,21 @@ def build_cover_instance(patterns: Sequence[StructuralVector]) -> SetCoverInstan
     if len(patterns) == 0:
         raise DimensionMismatch("at least one pattern is required")
     n = len(patterns[0])
-    sets = [set() for _ in range(n)]
-    for j, pat in enumerate(patterns, start=1):
-        if len(pat) != n:
-            raise DimensionMismatch("patterns have differing lengths")
-        if pat.nnz == 0:
-            raise ZeroPattern(f"pattern {j} is all-zero; no support can reach it")
-        for pos in pat.support:
-            sets[pos - 1].add(j)
-    universe = frozenset(range(1, len(patterns) + 1))
-    return SetCoverInstance(universe, tuple(frozenset(s) for s in sets))
+    if any(len(pat) != n for pat in patterns):
+        raise DimensionMismatch("patterns have differing lengths")
+    return _cover_instance(np.array([pat.mask for pat in patterns], dtype=bool))
+
+
+def _cover_instance(incidence: np.ndarray) -> SetCoverInstance:
+    """``build_cover_instance`` on the patterns' incidence: set i is column i."""
+    empty = np.flatnonzero(~incidence.any(axis=1))
+    if empty.size:
+        raise ZeroPattern(f"pattern {empty[0] + 1} is all-zero; no support can reach it")
+    universe = frozenset(range(1, incidence.shape[0] + 1))
+    members = np.arange(1, incidence.shape[0] + 1)
+    return SetCoverInstance(
+        universe, tuple(frozenset(members[col].tolist()) for col in incidence.T)
+    )
 
 
 def support_from_cover(indices: Iterable[int], n: int) -> StructuralVector:
@@ -191,15 +197,29 @@ def realize_with_stats(
     Infeasible when some vector vanishes on the support (no solution
     exists) and RepairFailed when an iteration bound is exhausted.
     """
-    cfg = config if config is not None else RealizationConfig()
     n = len(pattern)
     vecs = [as_vector(v, n) for v in vectors]
     if pattern.nnz == 0:
         raise Infeasible("the requested support is empty")
+    stacked = np.array(vecs).reshape(len(vecs), n)
+    return _realize(pattern, stacked, _nonzero_mask(stacked, zero_tol), config)
+
+
+def _realize(
+    pattern: StructuralVector,
+    stacked: np.ndarray,
+    nonzero: np.ndarray,
+    config: RealizationConfig | None,
+) -> tuple[np.ndarray, RealizationStats]:
+    """``realize_with_stats`` on validated vectors stacked as rows.
+
+    ``nonzero`` is their incidence (``structure._nonzero_mask``) and
+    ``pattern`` has at least one star.
+    """
+    cfg = config if config is not None else RealizationConfig()
+    n = len(pattern)
 
     # Step 1: the support must intersect every vector's nonzero pattern.
-    stacked = np.array(vecs).reshape(len(vecs), n)
-    nonzero = _nonzero_mask(stacked, zero_tol)
     on_support = np.asarray(pattern.mask, dtype=bool)
     missed = np.flatnonzero(~nonzero[:, on_support].any(axis=1))
     if missed.size:
@@ -220,10 +240,10 @@ def realize_with_stats(
     # Step 3: accumulate multiples of the restricted vectors, nudging the
     # partial sum whenever it becomes orthogonal to a processed vector.
     # Each outer round needs at most |J_e|+1 nudges.
-    alphas = cfg.multipliers(len(vecs))
+    alphas = cfg.multipliers(len(stacked))
     bp = np.zeros(p, dtype=complex)
     step3_counts = []
-    for j in range(len(vecs)):
+    for j in range(len(stacked)):
         bp = bp + alphas[j] * restricted[j]
         bound = j + 2
         count = 0
@@ -246,7 +266,7 @@ def realize_with_stats(
     # unconstrained (it enters no inner product), so the coordinate
     # direction itself serves as the repair vector there.
     step4_counts: dict[int, int] = {}
-    multiplier_bound = p + len(vecs) + 1
+    multiplier_bound = p + len(stacked) + 1
     for k in range(p):
         if k not in _zero_entries(bp, cfg.tau):
             continue
@@ -345,13 +365,18 @@ def _solve_on_basis(
     its own tolerances, then solves here, so no check runs twice.
     """
     cfg = config if config is not None else RealizationConfig()
-    patterns = [structural_pattern(v, zero_tol) for v in basis.vectors]
-    instance = build_cover_instance(patterns)
+    # One threshold of the whole basis: row j is vector j's pattern and
+    # column i is set i, for the instance, the cover masks and step 1.
+    incidence = _nonzero_mask(basis.vectors, zero_tol)
+    patterns = _patterns(incidence)
+    instance = _cover_instance(incidence)
     cover: CoverSolution = (
-        solve_exact(instance, exact_limit) if mode == "exact" else solve_greedy(instance)
+        _exact_cover(incidence.T, exact_limit)
+        if mode == "exact"
+        else _greedy_cover(incidence.T)
     )
     pattern = StructuralVector.from_support(cover.indices, basis.n)
-    b, _ = realize_with_stats(pattern, basis.vectors, cfg, zero_tol)
+    b, _ = _realize(pattern, basis.vectors, incidence, cfg)
     report = verification_report(A=A, b=b, basis=basis, rank_tol=rank_tol, tau=cfg.tau)
     solution = McpSolution(
         cover_indices=cover.indices,

@@ -145,6 +145,24 @@ def check_residuals(
         scale = np.linalg.svd(A, compute_uv=False)[0]  # ||A||_2
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"the 2-norm of the matrix failed: {exc}") from exc
+    # One product decides every pair when each residual clears its bound
+    # by more than the rounding that can separate it from the per-pair
+    # loop below: each product errs by at most about
+    # n*eps*(sqrt(n)*||A||_2 + |lambda|)*||v||, each norm by n*eps
+    # relative, plus sqrt(tiny) once squares underflow. Otherwise (an
+    # overflow, inf or NaN included) the loop decides, so its verdict and
+    # its message are the ones given.
+    n = basis.n
+    with np.errstate(all="ignore"):
+        Vc = basis.vectors.conj()
+        lams = basis.eigenvalues
+        res = np.linalg.norm(Vc @ A - lams[:, None] * Vc, axis=1)
+        vnorm = np.linalg.norm(Vc, axis=1)
+        u = 8 * (n + 2) * np.finfo(float).eps
+        floor = n * np.sqrt(np.finfo(float).tiny)
+        slack = u * ((np.sqrt(n) * scale + np.abs(lams)) * vnorm + res) + floor
+        if np.all(res + slack < residual_tol * scale * (vnorm * (1 - u) - floor)):
+            return
     for j, (lam, v) in enumerate(basis, start=1):
         res = np.linalg.norm(v.conj() @ A - lam * v.conj())
         if res > residual_tol * scale * np.linalg.norm(v):
@@ -174,13 +192,14 @@ def left_eigenbasis(
     lam = mu.conj()
     order = np.lexsort((-lam.imag, -lam.real))
     lam = lam[order]
-    V = W[:, order].T.copy()
-    for j in range(V.shape[0]):
-        v = V[j] / np.linalg.norm(V[j])
-        mags = np.abs(v)
-        lead = int(np.argmax(mags > _PHASE_TOL * mags.max()))
-        v = v * (abs(v[lead]) / v[lead])
-        V[j] = v
+    V = W[:, order].T
+    # Each norm is its row's own np.linalg.norm, and each phase factor is
+    # the scalar abs(p) / p of numpy's scalar arithmetic: a norm along an
+    # axis, or factors divided as one array, can differ in the last digit.
+    V = V / np.array([np.linalg.norm(v) for v in V])[:, None]
+    mags = np.abs(V)
+    lead = np.argmax(mags > _PHASE_TOL * mags.max(axis=1, keepdims=True), axis=1)
+    V *= np.array([abs(p) / p for p in V[np.arange(V.shape[0]), lead]])[:, None]
     try:
         basis = LeftEigenbasis(lam, V, source="computed", gap_tol=gap_tol)
     except NotSimple as exc:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TooLarge, ZeroPattern
-from .mcp import RealizationConfig, realize_with_stats
+from .mcp import RealizationConfig, _realize
 from .numerics import as_square_matrix, left_eigenbasis
-from .structure import StructuralVector, structural_pattern
+from .structure import StructuralVector, _nonzero_mask
 from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL, DEFAULT_ZERO_TOL
 from .verify import kalman_test
 
@@ -47,12 +49,11 @@ def brute_force_mcp(
     if n > n_limit:
         raise TooLarge(f"n={n} exceeds the brute-force limit {n_limit}")
     basis = left_eigenbasis(A, residual_tol=residual_tol, gap_tol=gap_tol)
-    eigen_supports = []
-    for j, v in enumerate(basis.vectors, start=1):
-        sup = set(structural_pattern(v, zero_tol).support)
-        if not sup:
-            raise ZeroPattern(f"eigenvector {j} has an all-zero pattern")
-        eigen_supports.append(sup)
+    incidence = _nonzero_mask(basis.vectors, zero_tol)
+    empty = np.flatnonzero(~incidence.any(axis=1))
+    if empty.size:
+        raise ZeroPattern(f"eigenvector {empty[0] + 1} has an all-zero pattern")
+    eigen_supports = [set((np.flatnonzero(row) + 1).tolist()) for row in incidence]
 
     for k in range(1, n + 1):
         feasible = [
@@ -65,7 +66,7 @@ def brute_force_mcp(
         verdicts = []
         for combo in feasible:
             pattern = StructuralVector.from_support(combo, n)
-            b, _ = realize_with_stats(pattern, basis.vectors, config, zero_tol)
+            b, _ = _realize(pattern, basis.vectors, incidence, config)
             verdicts.append(kalman_test(A, b, rank_tol).controllable)
         return OracleResult(
             min_support_size=k,

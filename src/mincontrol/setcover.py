@@ -12,6 +12,7 @@ element with the fewest covering sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil
 from typing import Iterable
 
@@ -78,15 +79,23 @@ def is_cover(instance: SetCoverInstance, indices: Iterable[int]) -> bool:
     return covered == instance.universe
 
 
-def _to_masks(instance: SetCoverInstance) -> tuple[int, list[int]]:
+def _incidence(instance: SetCoverInstance) -> np.ndarray:
+    """Sets x elements boolean incidence; column k is the k-th smallest element."""
     bit = {e: k for k, e in enumerate(sorted(instance.universe))}
-    masks = []
-    for s in instance.sets:
-        m = 0
-        for e in s:
-            m |= 1 << bit[e]
-        masks.append(m)
-    return (1 << len(bit)) - 1, masks
+    lengths = [len(s) for s in instance.sets]
+    incidence = np.zeros((instance.n_sets, len(bit)), dtype=bool)
+    columns = map(bit.__getitem__, chain.from_iterable(instance.sets))
+    incidence[
+        np.repeat(np.arange(instance.n_sets), lengths),
+        np.fromiter(columns, np.intp, sum(lengths)),
+    ] = True
+    return incidence
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """One bitmask per row of a boolean array; bit k stands for column k."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _greedy_masks(universe: int, masks: list[int]) -> list[int]:
@@ -118,12 +127,7 @@ def _element_masks(masks: list[int], width: int) -> tuple[list[int], list[int]]:
     ).reshape(len(masks), nbytes)
     incidence = np.unpackbits(rows, axis=1, count=width, bitorder="little")
     weights = incidence.astype(np.float32)
-
-    def row_masks(bits: np.ndarray) -> list[int]:
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    return row_masks(incidence.T), row_masks(weights.T @ weights > 0)
+    return _row_masks(incidence.T), _row_masks(weights.T @ weights > 0)
 
 
 def _packing_bound(uncovered: int, neighbours: list[int], cap: int) -> int:
@@ -259,14 +263,20 @@ def solve_exact(
     reconstruction picks the cover. Raises TooLarge when the universe
     exceeds ``exact_limit`` elements.
     """
-    if len(instance.universe) > exact_limit:
+    return _exact_cover(_incidence(instance), exact_limit)
+
+
+def _exact_cover(incidence: np.ndarray, exact_limit: int) -> CoverSolution:
+    """``solve_exact`` on a sets x elements boolean incidence."""
+    if incidence.shape[1] > exact_limit:
         raise TooLarge(
-            f"universe has {len(instance.universe)} elements; exact solving is "
+            f"universe has {incidence.shape[1]} elements; exact solving is "
             f"limited to {exact_limit} (use the greedy solver instead)"
         )
-    if not instance.universe:
+    if not incidence.shape[1]:
         return CoverSolution(frozenset(), exact=True)
-    universe, masks = _to_masks(instance)
+    universe = (1 << incidence.shape[1]) - 1
+    masks = _row_masks(incidence)
     k = _min_cover_size(universe, masks)
     combo = _lex_smallest_cover(universe, masks, k)
     return CoverSolution(frozenset(i + 1 for i in combo), exact=True)
@@ -278,8 +288,12 @@ def solve_greedy(instance: SetCoverInstance) -> CoverSolution:
     Always returns a cover; its size is within a factor (1 + ln|U|) of
     the optimum.
     """
-    if not instance.universe:
+    return _greedy_cover(_incidence(instance))
+
+
+def _greedy_cover(incidence: np.ndarray) -> CoverSolution:
+    """``solve_greedy`` on a sets x elements boolean incidence."""
+    if not incidence.shape[1]:
         return CoverSolution(frozenset(), exact=False)
-    universe, masks = _to_masks(instance)
-    chosen = _greedy_masks(universe, masks)
+    chosen = _greedy_masks((1 << incidence.shape[1]) - 1, _row_masks(incidence))
     return CoverSolution(frozenset(i + 1 for i in chosen), exact=False)

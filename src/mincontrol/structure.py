@@ -18,6 +18,8 @@ from .tolerances import DEFAULT_ZERO_TOL
 
 _STAR = "*"
 _ZERO = "0"
+#: Maps the bytes of a mask (0 or 1 per entry) to its text.
+_TEXT = bytes.maketrans(b"\x00\x01", (_ZERO + _STAR).encode())
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class StructuralVector:
         return len(self.mask)
 
     def __str__(self) -> str:
-        return "".join(_STAR if m else _ZERO for m in self.mask)
+        return bytes(self.mask).translate(_TEXT).decode()
 
     @property
     def nnz(self) -> int:
@@ -161,21 +163,28 @@ def structural_pattern(v, zero_tol: float = DEFAULT_ZERO_TOL) -> StructuralVecto
     v = np.asarray(v)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(v.view(float) if np.iscomplexobj(v) else v)):
-        raise ValueError("vector entries must be finite")
-    return StructuralVector(tuple(_nonzero_mask(v, zero_tol).tolist()))
+    return _patterns(_nonzero_mask(v[None], zero_tol))[0]
 
 
 def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
     """Boolean stars of a vector, or of each row of a 2-d stack of vectors.
 
     The rule of ``structural_pattern``: |v_i| > zero_tol * max_j |v_j|,
-    which leaves an all-zero vector with no star.
+    which leaves an all-zero vector with no star. A stack is thresholded
+    in one pass: row j is the pattern of vector j and column i marks the
+    vectors nonzero at position i, which is set i of the cover instance.
     """
+    if not np.isfinite(V).all():
+        raise ValueError("vector entries must be finite")
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     mags, peak = _magnitudes(V)
     return mags > zero_tol * peak
+
+
+def _patterns(incidence: np.ndarray) -> tuple[StructuralVector, ...]:
+    """One ``StructuralVector`` per row of a boolean incidence."""
+    return tuple(map(StructuralVector, incidence.tolist()))
 
 
 def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mincontrol import DimensionError, ParseError
+from mincontrol import DimensionError, ParseError, cli
 from mincontrol.cli import (
     ProblemFile,
     _matrix_digest,
+    _write_json,
     load_problem,
     problem_to_dict,
     run_command,
@@ -629,3 +633,96 @@ class TestNormFailureIsTyped:
         assert report["error_type"] == "NumericalBreakdown"
         assert "SVD did not converge" in report["message"]
         assert "Traceback" not in captured.out + captured.err
+
+
+def written(value) -> str:
+    out = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+_SPECIAL_STRINGS = ['"', "\\", 'a"b\\c', "\x00\x07\x1f\n\t", "\u00e9\u2603\U0001d11e", ""]
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 2**63, -(2**63) - 1, 2**200])
+    | st.floats()
+    | st.sampled_from(_SPECIAL_FLOATS)
+    | st.floats(allow_nan=False).map(np.float64)
+    | st.text()
+    | st.sampled_from(_SPECIAL_STRINGS)
+)
+_json_values = st.recursive(
+    _leaves
+    | st.lists(st.integers() | st.booleans())
+    | st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS))
+    | st.lists(st.text()),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text() | st.sampled_from(_SPECIAL_STRINGS), children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3),
+    max_leaves=25,
+)
+
+
+class TestReportWriter:
+    """The report writer's bytes are json.dumps(value, indent=2, sort_keys=True)."""
+
+    @given(_json_values)
+    def test_matches_json(self, value):
+        assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), {"a": {}, "b": [], "c": [[]]}, [True, 1, False, 0], [1.5, math.nan]],
+    )
+    def test_edge_values(self, value):
+        assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_unserializable_value_raises_like_json(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            written({"a": [1, object()]})
+
+    def _reports(self, monkeypatch, argv):
+        """(report, emitted text) of each report ``run_command`` writes."""
+        seen = []
+        emit = cli._emit
+
+        def recording(report, args):
+            text = emit(report, args)
+            seen.append((report, text))
+            return text
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        run_command(argv)
+        return seen
+
+    def test_golden_report(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["solve-mcp", "tests/data/golden5.json", "--json", "--no-timings"]
+        ((report, text),) = self._reports(monkeypatch, argv)
+        capsys.readouterr()
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text == (REPO_ROOT / "tests" / "data" / "golden5_report.json").read_text()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_reports(self, seed, capsys, monkeypatch, tmp_path):
+        rng = np.random.default_rng(seed)
+        n = 8 + 4 * seed
+        A = np.diag(np.arange(1.0, n + 1) + rng.uniform(-0.2, 0.2, n))
+        A[rng.random((n, n)) < 0.15] = rng.uniform(-1, 1)
+        if seed % 2:
+            A = A + 1j * np.diag(rng.uniform(-1, 1, n))
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"matrix": np.stack([A.real, A.imag], -1).tolist()}))
+        ones = ",".join(["1"] * n)
+        for argv in (
+            ["solve-mcp", str(path), "--json", "--exact-limit", str(n)],
+            ["eig", str(path), "--json"],
+            ["verify", str(path), "--json", "--method", "pbh-vec", "--vector", ones],
+        ):
+            ((report, text),) = self._reports(monkeypatch, argv)
+            assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        capsys.readouterr()

@@ -14,6 +14,7 @@ from mincontrol import (
     numerical_rank,
     perturb_nonzero,
 )
+from mincontrol.numerics import _PHASE_TOL
 from conftest import (
     GOLDEN_EIGENVALUES,
     GOLDEN_KRYLOV_ROWS,
@@ -105,6 +106,169 @@ class TestUserSuppliedBasis:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             LeftEigenbasis.from_pairs([1.0, 2.0], np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def phase_loop_reference(A):
+    """left_eigenbasis's vectors, normalized and phase-fixed one at a time."""
+    A = np.asarray(A, dtype=complex)
+    mu, W = np.linalg.eig(A.conj().T)
+    lam = mu.conj()
+    V = W[:, np.lexsort((-lam.imag, -lam.real))].T.copy()
+    for j in range(V.shape[0]):
+        v = V[j] / np.linalg.norm(V[j])
+        mags = np.abs(v)
+        lead = int(np.argmax(mags > _PHASE_TOL * mags.max()))
+        V[j] = v * (abs(v[lead]) / v[lead])
+    return V
+
+
+class TestPhaseFixMatchesLoop:
+    """The array-level normalization and phase fix equal the per-vector loop bitwise."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_real_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5 + 7 * seed
+        A = np.diag(np.arange(1.0, n + 1)) + np.triu(rng.uniform(-1, 1, (n, n)), 1)
+        basis = left_eigenbasis(A)
+        assert not basis.eigenvalues.imag.any()
+        assert np.array_equal(basis.vectors, phase_loop_reference(A))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complex_spectrum(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 4 + 9 * seed
+        for A in (
+            random_simple_matrix(rng, n),
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+        ):
+            basis = left_eigenbasis(A)
+            assert basis.eigenvalues.imag.any()
+            assert np.array_equal(basis.vectors, phase_loop_reference(A))
+
+    @pytest.mark.parametrize("ratio", [1.5, 1.0001])
+    def test_leading_entry_just_above_phase_tol(self, ratio):
+        # The rows of S are the left eigenvectors of S^-1 D S (conjugated).
+        # In the first, the leading entry's modulus sits just above
+        # _PHASE_TOL times the peak, so the phase fix must pick that entry.
+        S = np.array(
+            [
+                [ratio * _PHASE_TOL * np.exp(0.7j), 1.0, -0.5j],
+                [0.3, 1.0, 0.2],
+                [0.1, -0.4, 1.0],
+            ]
+        )
+        A = np.linalg.solve(S, np.diag([3.0, 2.0, 1.0]) @ S)
+        basis = left_eigenbasis(A)
+        reference = phase_loop_reference(A)
+        assert np.array_equal(basis.vectors, reference)
+        v = basis.vectors[0]
+        assert _PHASE_TOL < abs(v[0]) / np.abs(v).max() < 2 * _PHASE_TOL
+        assert v[0].real > 0 and abs(v[0].imag) < 1e-15 * v[0].real
+
+
+def residual_loop_reference(A, basis, residual_tol):
+    """check_residuals's per-pair loop: the message of the first failing pair, or None."""
+    A = np.asarray(A, dtype=complex)
+    scale = np.linalg.svd(A, compute_uv=False)[0]
+    for j, (lam, v) in enumerate(basis, start=1):
+        res = np.linalg.norm(v.conj() @ A - lam * v.conj())
+        if res > residual_tol * scale * np.linalg.norm(v):
+            return f"pair {j} residual {res:.3e} exceeds {residual_tol:.1e} * ||A||"
+    return None
+
+
+def basis_at_residual_ratios(A, ratios, residual_tol):
+    """A user basis of A whose pair j has residual ratios[j] * tol * ||A||_2 * ||v_j||.
+
+    Each exact left eigenvector v is moved to v + t*e along a fixed unit
+    direction e, with t solved for the requested ratio.
+    """
+    exact = left_eigenbasis(A)
+    A = np.asarray(A, dtype=complex)
+    scale = np.linalg.svd(A, compute_uv=False)[0]
+    e = np.linspace(1.0, 2.0, A.shape[0]) * np.exp(1j * np.arange(A.shape[0]))
+    e /= np.linalg.norm(e)
+    vectors = []
+    for (lam, v), ratio in zip(exact, ratios):
+        if ratio == 0:
+            vectors.append(v)
+            continue
+        gain = np.linalg.norm(e.conj() @ A - lam * e.conj())
+        t = ratio * residual_tol * scale / gain
+        for _ in range(3):  # ||v + t e|| moves with t
+            t = ratio * residual_tol * scale * np.linalg.norm(v + t * e) / gain
+        vectors.append(v + t * e)
+    basis = LeftEigenbasis.from_pairs(exact.eigenvalues, vectors)
+    for (lam, v), ratio in zip(basis, ratios):
+        if ratio:
+            res = np.linalg.norm(v.conj() @ A - lam * v.conj())
+            assert res / (residual_tol * scale * np.linalg.norm(v)) == pytest.approx(
+                ratio, rel=1e-7
+            )
+    return basis
+
+
+class TestResidualDecisionMatchesLoop:
+    """check_residuals's one-product decision equals the per-pair loop."""
+
+    TOL = 1e-8
+
+    def outcome(self, A, basis, residual_tol):
+        try:
+            check_residuals(A, basis, residual_tol)
+        except EigensolveFailed as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "ratio", [1 - 1e-6, 1 + 1e-6, 0.5, 2.0], ids=["below", "above", "half", "double"]
+    )
+    def test_one_pair_near_the_bound(self, seed, ratio):
+        rng = np.random.default_rng(seed)
+        n = 3 + 2 * seed
+        A = random_simple_matrix(rng, n)
+        for j in range(n):
+            ratios = [0.0] * n
+            ratios[j] = ratio
+            basis = basis_at_residual_ratios(A, ratios, self.TOL)
+            expected = residual_loop_reference(A, basis, self.TOL)
+            assert (expected is None) == (ratio < 1)
+            assert self.outcome(A, basis, self.TOL) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_pair_near_the_bound(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        n = 4 + seed
+        A = random_simple_matrix(rng, n) * 10.0 ** (3 * seed - 4)
+        for signs in ([-1] * n, [1] * n, rng.choice([-1, 1], n).tolist()):
+            ratios = [1 + s * 1e-6 for s in signs]
+            basis = basis_at_residual_ratios(A, ratios, self.TOL)
+            expected = residual_loop_reference(A, basis, self.TOL)
+            assert (expected is None) == (max(signs) < 0)
+            assert self.outcome(A, basis, self.TOL) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bound_at_the_loops_own_ratio(self, seed):
+        # residual_tol is pair j's ratio as the loop computes it, moved by
+        # a few ulps: closer to the bound than the one product's rounding,
+        # so the array decision must defer to the loop either way.
+        rng = np.random.default_rng(80 + seed)
+        n = 12 + 12 * seed
+        A = random_simple_matrix(rng, n)
+        exact = left_eigenbasis(A)
+        vectors = exact.vectors + 1e-9 * rng.standard_normal((n, n))
+        basis = LeftEigenbasis.from_pairs(exact.eigenvalues, vectors)
+        Ac = A.astype(complex)
+        scale = np.linalg.svd(Ac, compute_uv=False)[0]
+        for lam, v in basis:
+            res = np.linalg.norm(v.conj() @ Ac - lam * v.conj())
+            ratio = res / (scale * np.linalg.norm(v))
+            for ulps in range(-3, 4):
+                tol = ratio * (1 + ulps * np.finfo(float).eps)
+                expected = residual_loop_reference(A, basis, tol)
+                assert self.outcome(A, basis, tol) == expected
 
 
 class TestIsSimple:
