@@ -4,7 +4,10 @@ Problem files are JSON (complex entries as [real, imag] pairs, real
 entries as plain numbers) or whitespace-separated real matrices. Reports
 go to stdout as text or, with --json, as canonical JSON (sorted keys,
 two-space indent) that is byte-identical across identical invocations
-when --no-timings is given.
+under the same BLAS thread count when --no-timings is given. Under
+another thread count the supports, patterns, statuses and exit codes
+agree, but the last digits of the eigenvalues and of the solution
+vector may differ.
 
 Exit codes: 0 success, 1 infeasible or unverifiable, 2 input error.
 """

@@ -8,10 +8,15 @@ eigenstructure problem in linear system theory", both IEEE TAC 26(1),
 1981). Every PBH-eigenvalue rank is that of a pencil of the form, ranked
 in O(n^2) (``_ranks``), and the Kalman rank follows from the pencils of
 its reachable block; that is the certificate of record. No SVD runs
-unless a pencil is close to rank deficient. The PBH eigenvector test
-needs the eigenbasis instead. All verdicts depend on tolerances, which
-the report always embeds; when the tests disagree the report says so
-instead of silently reconciling them.
+unless a pencil is close to rank deficient. When the eigenbasis is at
+hand too (every ``solve_mcp`` run), one SVD of the basis bounds the
+smallest singular value of every PBH pencil from below at once
+(``_basis_bound``), and only the shifts that bound cannot clear are
+ranked pencil by pencil: those where b is nearly orthogonal to a left
+eigenvector, or two eigenvalues nearly coincide. The PBH eigenvector
+test needs the eigenbasis instead. All verdicts depend on tolerances,
+which the report always embeds; when the tests disagree the report says
+so instead of silently reconciling them.
 """
 from __future__ import annotations
 
@@ -260,6 +265,11 @@ def _ranks(C: np.ndarray, shifts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     margin (on the same less-than-64x overstatement that taking the rank
     as n from the bound assumes), from the SVD when the shift took one.
     It is False for a non-finite shift.
+
+    ``verification_report`` sends here only the shifts that the basis
+    lower bound (``_basis_bound``) leaves at or below 2 delta, and the
+    Kalman modes no anchor matches; ``pbh_eigenvalue_test`` and
+    ``kalman_test`` send every shift.
     """
     n = C.shape[0]
     shifts = np.asarray(shifts, dtype=complex)
@@ -293,6 +303,55 @@ def _ranks(C: np.ndarray, shifts, tol: float) -> tuple[np.ndarray, np.ndarray]:
             ranks[idx[i]] = int(np.sum(s > tol))
             anchored[idx[i]] = s[-1] > 2 * tol
     return ranks, anchored
+
+
+def _basis_bound(A, b, basis: LeftEigenbasis, form: Staircase, shifts: np.ndarray) -> np.ndarray:
+    """Lower bounds on sigma_min([t b | sA - mu_j I]) at every shift mu_j.
+
+    The shifts are s lambda_j for the basis eigenvalues, in the units of
+    ``form``. With U the conjugated basis (rows u_i, u_i A ~ lambda_i
+    u_i) normalized, E = U(sA) - diag(mu) U and w = U(tb), writing a
+    left singular vector as y = aU gives ||y P_j||^2 >=
+    (sigma_min(U) ||a (diag(mu) - mu_j I)|| - ||a|| ||E||)^2 + |a w|^2
+    with ||y|| <= sigma_max(U) ||a||. The smallest eigenvalue of the
+    diagonal-plus-rank-one matrix sigma_min(U)^2 |diag(mu) - mu_j I|^2
+    + w w^H is at least l_j = min(min_i d_i / 2, |w_j|^2 / (1 + 2
+    sum_i |w_i|^2 / d_i)), i != j, d_i = sigma_min(U)^2 |mu_i - mu_j|^2,
+    from its secular equation; so sigma_min(P_j) >= (sqrt(l_j) - ||E||)
+    / sigma_max(U). It holds for any basis: an inaccurate one only makes
+    ||E|| larger. One SVD of U serves every shift. ||E||, the singular
+    values of U and w carry a rounding slack (as in
+    ``check_residuals``), and the bound is 0 wherever a value is not
+    finite. The arithmetic is real when U and A are.
+    """
+    n = form.n
+    A, b = as_square_matrix(A), as_vector(b, n)
+    U = basis.vectors.conj()
+    if not (U.imag.any() or A.imag.any() or shifts.imag.any()):
+        U, A, shifts = U.real, A.real, shifts.real
+    u = 8 * (n + 2) * np.finfo(float).eps
+    floor = n * np.sqrt(np.finfo(float).tiny)
+    with np.errstate(all="ignore"):
+        U = U / np.linalg.norm(U, axis=1)[:, None]
+        rows = np.linalg.norm(U, axis=1)
+        frobenius = np.linalg.norm(rows)
+        try:
+            sigma = np.linalg.svd(U, compute_uv=False)
+        except np.linalg.LinAlgError:
+            return np.zeros(n)
+        low = max(sigma[-1] - u * frobenius, 0.0) * (1 - u)
+        high = sigma[0] + u * frobenius
+        sA, tb = A * form.scale, b * _power_of_two_scale(b)
+        muU = shifts[:, None] * U
+        residual = np.linalg.norm(U @ sA - muU) * (1 + u)
+        residual += u * (frobenius * np.linalg.norm(sA) + np.linalg.norm(muU)) + floor
+        w, werr = np.abs(U @ tb), u * rows * np.linalg.norm(tb)
+        gaps = (low * np.abs(shifts[:, None] - shifts)) ** 2
+        np.fill_diagonal(gaps, np.inf)
+        secular = ((w + werr) ** 2) @ (1 / gaps)
+        ell = np.minimum(gaps.min(axis=0) / 2, np.maximum(w - werr, 0) ** 2 / (1 + 2 * secular))
+        bound = (np.sqrt(ell) * (1 - u) - residual) / high
+    return np.where(np.isfinite(bound) & np.isfinite(shifts), bound, 0.0)
 
 
 def _near(modes: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
@@ -415,12 +474,19 @@ def verification_report(
     With a matrix, one ``staircase`` reduction gives both the Kalman
     result and (with a basis) the PBH-eigenvalue ranks, the same values
     ``kalman_test`` and ``pbh_eigenvalue_test`` give. The PBH shifts are
-    ranked first. When b reaches the whole form (k = n) both tests rank
-    pencils of [beta e1 | H], and a Kalman mode within delta of a shift
-    with sigma_min above 2 delta takes rank n from it (see ``_kalman``).
-    The modes and the shifts are two computed copies of one spectrum, so
-    a certified pair whose every mode finds such a shift ranks at most n
-    pencils, not 2n.
+    ranked first. ``_basis_bound`` bounds sigma_min of every PBH pencil
+    of the scaled pair from below; the form's pencils differ from those
+    by the reduction's backward error, at most delta / 2 for the default
+    delta (see ``staircase``; a smaller ``rank_tol`` counts as the
+    default here). A shift whose bound exceeds 2 delta has rank n
+    without a pencil of its own, and above 3 delta its pencil in the form
+    has sigma_min above 2 delta. Every other shift goes to ``_ranks``.
+    When b reaches the whole form (k = n) both tests rank pencils of
+    [beta e1 | H], and a Kalman mode within delta of a shift with
+    sigma_min above 2 delta takes rank n from it (see ``_kalman``). The
+    modes and the shifts are two computed copies of one spectrum, so a
+    certified pair whose every mode lies within delta of a shift that
+    clears 3 delta ranks no pencil at all.
     """
     if A is None and basis is None:
         raise ValueError("verification needs a matrix, an eigenbasis, or both")
@@ -431,7 +497,12 @@ def verification_report(
         anchors = None
         if basis is not None:
             shifts = _scaled_eigenvalues(form, basis.eigenvalues)
-            ranks, anchored = _ranks(form.form, shifts, form.tol)
+            bound = _basis_bound(A, b, basis, form, shifts)
+            default_tol = 4 * form.n * np.finfo(float).eps * np.linalg.norm(form.form[:, 1:])
+            unit = max(form.tol, default_tol)
+            ranks, anchored = np.full(shifts.size, form.n), bound > 3 * unit
+            rest = np.flatnonzero(~(bound > 2 * unit))
+            ranks[rest], anchored[rest] = _ranks(form.form, shifts[rest], form.tol)
             pbh_val, anchors = _pbh_eigenvalue(form, ranks), shifts[anchored]
         kalman = _kalman(form, anchors)
     return VerificationReport(

@@ -99,30 +99,30 @@ def unitary(rng, n, complex_entries):
     return np.linalg.qr(Z)[0]
 
 
-def count_bounded_shifts(monkeypatch):
-    """Spy on ``_estimated_sigma_min``; the list holds each batch's size."""
-    sizes = []
+def spy_bounded_shifts(monkeypatch):
+    """Spy on ``_estimated_sigma_min``; the list holds each batch's shifts."""
+    batches = []
     estimate = verify._estimated_sigma_min
 
     def spy(C, shifts):
-        sizes.append(shifts.size)
+        batches.append(shifts.copy())
         return estimate(C, shifts)
 
     monkeypatch.setattr(verify, "_estimated_sigma_min", spy)
-    return sizes
+    return batches
 
 
 def check_ranked_once(monkeypatch, A, b, basis):
     """``verification_report`` gives the stand-alone tests' results, and on
     a k = n pair bounds at most n shifts plus one per deficient PBH rank
     (a mode next to a deficient shift has no anchor to take its rank from)."""
-    sizes = count_bounded_shifts(monkeypatch)
+    batches = spy_bounded_shifts(monkeypatch)
     report = verification_report(b, A=A, basis=basis)
     monkeypatch.undo()
     n = len(A)
     deficient = sum(r < n for r in report.pbh_eigenvalue.ranks)
     if verify.staircase(A, b).k == n:
-        assert sum(sizes) <= n + deficient
+        assert sum(s.size for s in batches) <= n + deficient
     assert report.kalman == kalman_test(A, b)
     assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, basis.eigenvalues)
     return report
@@ -412,7 +412,9 @@ class TestVerificationReport:
     def test_inaccurate_basis_modes_ranked_directly(self, monkeypatch):
         # Eigenvalues moved by about 10 delta still pass the residual check,
         # but no mode lies within delta of them: every mode gets a pencil
-        # of its own, and the Kalman result is kalman_test's.
+        # of its own, and the Kalman result is kalman_test's. The basis
+        # bound, which counts the move in ||E||, still clears every PBH
+        # shift, so no shift reaches the estimator.
         rng = np.random.default_rng(409)
         A = real_spectrum_matrix(rng, 8)
         b = rng.normal(size=8)
@@ -421,12 +423,15 @@ class TestVerificationReport:
         moved = computed.eigenvalues + 10 * form.tol / form.scale
         basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
         assert form.k == 8 and not moved.imag.any()
-        sizes = count_bounded_shifts(monkeypatch)
+        batches = spy_bounded_shifts(monkeypatch)
         report = verification_report(b, A=A, basis=basis)
         monkeypatch.undo()
-        assert sum(sizes) == 16
+        assert [s.size for s in batches] == [8]
+        np.testing.assert_allclose(batches[0], np.linalg.eigvals(form.form[:, 1:]))
+        assert not np.isin(batches[0], moved * form.scale).any()
         assert report.kalman == kalman_test(A, b) == KalmanResult(controllable=True, rank=8)
         assert report.pbh_eigenvalue.controllable
+        assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, moved)
 
     @pytest.mark.parametrize("margins, anchored", [(1.5, False), (2.5, True)])
     def test_bound_anchors_above_twice_the_margin(self, monkeypatch, margins, anchored):
@@ -454,6 +459,230 @@ def sparse_system(rng, n, density=0.02):
     """Diagonal 1..n with jitter, plus off-diagonal entries of the given density."""
     A = np.diag(np.arange(1.0, n + 1) + rng.uniform(-0.1, 0.1, n))
     return A + (rng.random((n, n)) < density) * rng.uniform(-1.0, 1.0, (n, n))
+
+
+def scaled_pencil_sigma_min(A, b, form, eigenvalues):
+    """SVD sigma_min of [t b | sA - s lambda I] per eigenvalue, in the units
+    of ``form``: s its scale, t the power of two that brings b's largest
+    real or imaginary part into [1/2, 1)."""
+    sA = np.asarray(A, dtype=complex) * form.scale
+    b = np.asarray(b, dtype=complex)
+    tb = b * 2.0 ** -np.frexp(np.abs(b.view(float)).max())[1]
+    eye = np.eye(len(b))
+    return np.array(
+        [
+            np.linalg.svd(np.column_stack([tb, sA - form.scale * ev * eye]), compute_uv=False)[-1]
+            for ev in np.asarray(eigenvalues, dtype=complex)
+        ]
+    )
+
+
+def basis_bound(A, b, basis, rank_tol=None):
+    """``_basis_bound`` at the basis eigenvalues, with the form it used."""
+    form = verify.staircase(A, b, rank_tol)
+    shifts = verify._scaled_eigenvalues(form, basis.eigenvalues)
+    return verify._basis_bound(A, b, basis, form, shifts), form
+
+
+def zero_bound(A, b, basis, form, shifts):
+    return np.zeros(shifts.size)
+
+
+class TestBasisBound:
+    """The eigenbasis lower bound on sigma_min of every PBH pencil."""
+
+    @staticmethod
+    def check_sound(A, b, basis, rank_tol=None):
+        """The bound never exceeds the SVD's sigma_min; returns the share of
+        shifts it clears (bound above 2 delta)."""
+        bound, form = basis_bound(A, b, basis, rank_tol)
+        sigma = scaled_pencil_sigma_min(A, b, form, basis.eigenvalues)
+        assert (bound <= sigma).all()
+        return np.mean(bound > 2 * form.tol)
+
+    def test_dense_and_sparse(self):
+        rng = np.random.default_rng(420)
+        cleared = []
+        for n in (5, 20, 60):
+            A = random_simple_matrix(rng, n)
+            for b in (rng.normal(size=n), rng.normal(size=n) * (rng.random(n) < 0.3)):
+                self.check_sound(A, b, left_eigenbasis(A))
+        for n in (20, 100, 200):
+            A = sparse_system(rng, n)
+            cleared.append(self.check_sound(A, rng.normal(size=n), left_eigenbasis(A)))
+            if n < 200:
+                self.check_sound(A, rng.normal(size=n) * (rng.random(n) < 0.3), left_eigenbasis(A))
+        # on sparse systems with a dense b the bound clears nearly every shift
+        assert min(cleared) > 0.9
+
+    def test_non_normal_systems(self):
+        # Strong upper-triangular coupling makes the eigenvector matrix
+        # ill-conditioned (condition numbers up to about 2e6 here). In the
+        # 2x2 pair the bound lies within 4% of sigma_min / sigma_max(U),
+        # so it depends on the division by sigma_max(U).
+        rng = np.random.default_rng(427)
+        for n in (4, 8, 12):
+            for c in (1.0, 5.0, 20.0):
+                A = np.diag(np.arange(1.0, n + 1)) + c * np.triu(rng.uniform(-1, 1, (n, n)), 1)
+                assert self.check_sound(A, rng.normal(size=n), left_eigenbasis(A)) == 1.0
+        A = np.array([[-0.5379008593666206, -1.910165137561883], [0.0, 1.3903518696792778]])
+        self.check_sound(A, [-0.5083766305175591, -0.00890182842059353], left_eigenbasis(A))
+
+    def test_complex_matrices(self):
+        rng = np.random.default_rng(421)
+        for n in (4, 12, 30):
+            A = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+            b = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert self.check_sound(A, b, left_eigenbasis(A)) > 0.5
+
+    def test_real_matrix_with_rounding_level_imaginary_parts(self):
+        # zgeev returns the real eigenvalues of a dense real matrix with
+        # imaginary parts at the rounding level, and vectors likewise.
+        rng = np.random.default_rng(422)
+        seen = 0
+        for n in (8, 15, 34):
+            A = rng.uniform(-1, 1, (n, n))
+            basis = left_eigenbasis(A)
+            lam = basis.eigenvalues
+            seen += bool(((lam.imag != 0) & (abs(lam.imag) < 1e-12)).any())
+            self.check_sound(A, rng.normal(size=n), basis)
+        assert seen
+
+    def test_user_basis_near_residual_tol(self):
+        # Vectors and eigenvalues moved until their residuals sit a few
+        # times below residual_tol: from_pairs accepts the basis, ||E||
+        # grows, and the bound stays below the SVD's sigma_min.
+        rng = np.random.default_rng(423)
+        for n in (6, 30):
+            A = sparse_system(rng, n, 0.2)
+            computed = left_eigenbasis(A)
+            norm = np.linalg.norm(A, 2)
+            dlam, dV = norm * rng.uniform(-1, 1, n), rng.normal(size=(n, n)) / np.sqrt(n)
+
+            def residuals(eta):
+                V = computed.vectors + eta * dV
+                R = V.conj() @ A - (computed.eigenvalues + eta * dlam)[:, None] * V.conj()
+                return np.linalg.norm(R, axis=1) / np.linalg.norm(V, axis=1)
+
+            eta = 0.8e-8 * norm / residuals(1e-9).max() * 1e-9
+            assert 0.5e-8 * norm < residuals(eta).max() < 1e-8 * norm
+            basis = LeftEigenbasis.from_pairs(
+                computed.eigenvalues + eta * dlam, computed.vectors + eta * dV, A=A
+            )
+            self.check_sound(A, rng.normal(size=n), basis)
+            # b within 1e-12 of orthogonal to the first computed eigenvector:
+            # the moved basis sees |w_1| of order eta, and only ||E||
+            # keeps the bound below the pencil's sigma_min
+            v = computed.vectors[0]
+            b = rng.normal(size=n)
+            b = b - v * np.vdot(v, b) / np.vdot(v, v) + 1e-12 * rng.normal(size=n)
+            assert self.check_sound(A, b, basis) < 1
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_scaled_golden(self, golden_a, c):
+        basis = LeftEigenbasis.from_pairs(
+            c * GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, A=c * golden_a, gap_tol=1e-15
+        )
+        assert self.check_sound(c * golden_a, B_WORKED, basis) == 1.0
+
+    def test_huge_entries(self):
+        # The dense matrix's basis is its unit-scale eigenbasis with the
+        # eigenvalues scaled, exact up to the rounding of the products.
+        rng = np.random.default_rng(424)
+        unit = left_eigenbasis(random_simple_matrix(rng, 6))
+        dense = np.linalg.solve(unit.vectors.conj(), unit.eigenvalues[:, None] * unit.vectors.conj())
+        for A, basis in (
+            (np.diag([1e200, 2e200, 3e200]), left_eigenbasis(np.diag([1e200, 2e200, 3e200]))),
+            (1e200 * dense, LeftEigenbasis(1e200 * unit.eigenvalues, unit.vectors)),
+        ):
+            b = np.ones(len(A))
+            with np.errstate(over="raise", invalid="raise"):
+                bound, form = basis_bound(A, b, basis)
+                report = verification_report(b, A=A, basis=basis)
+            sigma = scaled_pencil_sigma_min(A, b, form, basis.eigenvalues)
+            assert (bound <= sigma).all() and (bound > 2 * form.tol).all()
+            assert report.controllable and report.consistent
+
+    def test_orthogonal_eigenvector_falls_through(self, golden_a, integer_basis):
+        # e2 is orthogonal to three left eigenvectors of the golden system:
+        # w_j = 0 there, so those shifts go to the pencil ranks.
+        b = np.eye(5)[1]
+        bound, form = basis_bound(golden_a, b, integer_basis)
+        orthogonal = integer_basis.vectors @ b == 0
+        assert orthogonal.sum() == 3
+        assert (bound[orthogonal] <= 2 * form.tol).all()
+        assert (bound[~orthogonal] > 2 * form.tol).all()
+        report = verification_report(b, A=golden_a, basis=integer_basis)
+        assert report.pbh_eigenvalue == pbh_eigenvalue_test(golden_a, b, GOLDEN_EIGENVALUES)
+        assert sum(r < 5 for r in report.pbh_eigenvalue.ranks) == 3
+
+    def test_near_repeated_pair_falls_through(self):
+        # Two eigenvalues 4e-15 apart: min_i d_i / 2 keeps both bounds
+        # below 2 delta, also when b misses one of the pair's eigenvectors
+        # (then w alone would not see the pair), and the pencil ranks
+        # decide them.
+        A = np.diag([1.0, 1.0 + 4e-15, 3.0])
+        basis = LeftEigenbasis.from_pairs(np.diag(A), np.eye(3), A=A, gap_tol=1e-16)
+        for b in (np.ones(3), np.array([0.0, 1.0, 1.0])):
+            bound, form = basis_bound(A, b, basis)
+            assert (bound[:2] <= 2 * form.tol).all() and bound[2] > 2 * form.tol
+            self.check_sound(A, b, basis)
+            report = verification_report(b, A=A, basis=basis)
+            assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, np.diag(A))
+
+    def test_zero_bound_changes_no_result(self, monkeypatch, golden_a, integer_basis):
+        # With the bound at zero every shift takes the pencil ranks: the
+        # report (ranks, Kalman result, verdicts) is the same.
+        rng = np.random.default_rng(425)
+        cases = [(golden_a, B_WORKED, integer_basis), (golden_a, np.eye(5)[1], integer_basis)]
+        for n in (10, 40, 100):
+            A = sparse_system(rng, n)
+            cases.append((A, rng.normal(size=n), left_eigenbasis(A)))
+            A = random_simple_matrix(rng, n // 2)
+            cases.append((A, rng.normal(size=n // 2) * (rng.random(n // 2) < 0.5), left_eigenbasis(A)))
+        for A, b, lam in TestPbhRanksAgainstComplexReference().cases():
+            cases.append((A, b, left_eigenbasis(A)))
+        deficient = 0
+        for A, b, basis in cases:
+            report = verification_report(b, A=A, basis=basis)
+            monkeypatch.setattr(verify, "_basis_bound", zero_bound)
+            assert verification_report(b, A=A, basis=basis) == report
+            monkeypatch.undo()
+            deficient += not report.pbh_eigenvalue.controllable
+        assert deficient
+
+    @pytest.mark.parametrize(
+        "factor, rank_tol, pbh_bounded, modes_bounded",
+        [
+            (1.5, None, True, False),
+            (2.5, None, False, True),
+            (3.5, None, False, False),
+            (3.5, 1e-30, True, False),
+        ],
+    )
+    def test_bound_clears_above_2_and_anchors_above_3_delta(
+        self, monkeypatch, factor, rank_tol, pbh_bounded, modes_bounded
+    ):
+        # Above 2 delta a shift takes rank n without a pencil; above 3 delta
+        # it also anchors the Kalman modes within delta of it. delta never
+        # counts below its default there: the form's pencils carry the
+        # reduction's own backward error.
+        rng = np.random.default_rng(426)
+        A = real_spectrum_matrix(rng, 6)
+        b = rng.normal(size=6)
+        basis = left_eigenbasis(A)
+        form = verify.staircase(A, b, rank_tol)
+        shifts = verify._scaled_eigenvalues(form, basis.eigenvalues)
+        monkeypatch.setattr(
+            verify, "_basis_bound", lambda *args: np.full(6, factor * form.tol)
+        )
+        batches = spy_bounded_shifts(monkeypatch)
+        report = verification_report(b, A=A, basis=basis, rank_tol=rank_tol)
+        bounded = np.concatenate(batches) if batches else np.empty(0)
+        assert np.isin(shifts, bounded).all() == pbh_bounded
+        assert (bounded.size - pbh_bounded * 6 == 6) == modes_bounded
+        assert report.pbh_eigenvalue.ranks == (6,) * 6
+        assert report.kalman == KalmanResult(controllable=True, rank=6)
 
 
 class TestStaircase:
@@ -552,8 +781,9 @@ class TestCertificationFamily:
         assert self.check(c * golden_a, "exact").support == (2, 3, 4)
 
     def test_svd_count_does_not_grow_with_n(self, monkeypatch):
-        # One SVD (for ||A||_2 in the residual check) whatever n: the
-        # certificate ranks nothing per eigenvalue on a controllable pair.
+        # Two SVDs whatever n, one for ||A||_2 in the residual check and one
+        # for the basis bound's singular values of the eigenvector matrix:
+        # the certificate ranks nothing per eigenvalue on a controllable pair.
         calls = []
         svd = np.linalg.svd
 
