@@ -7,7 +7,9 @@ position i), solve the cover on its bitmasks, and realize a
 numerical input vector on the chosen support that is non-orthogonal to
 every eigenvector. One orthogonal staircase reduction of (A, b)
 certifies the result (``verify.staircase``): the Kalman rank and every
-PBH-eigenvalue rank come from pencils of that one form, O(n^2) each.
+PBH-eigenvalue rank come from pencils of that one form, each cleared by
+the eigenbasis's lower bound on its smallest singular value or ranked
+by one SVD.
 """
 from __future__ import annotations
 
@@ -319,8 +321,8 @@ def solve_mcp(
     basis is then validated against the matrix). ``mode`` selects the
     exact or the greedy cover solver. The certificate of record is the
     Kalman rank whenever the matrix is available, read off one staircase
-    reduction that also gives the PBH-eigenvalue ranks (O(n^2) per
-    eigenvalue, plus an SVD for a rank-deficient pencil); the eigenvector
+    reduction that also gives the PBH-eigenvalue ranks (an SVD only for
+    a pencil the eigenbasis bound does not clear); the eigenvector
     non-orthogonality test otherwise. Raises VerificationFailed (with
     the offending solution attached) when the certificate does not
     confirm controllability under the configured tolerances.

@@ -44,11 +44,20 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     return v
 
 
+def power_of_two_scale(X: np.ndarray) -> float:
+    """2^-e, with 2^(e-1) <= the largest |part| of X < 2^e (1 for zero X)."""
+    peak = np.abs(X.real).max()
+    if X.dtype.kind == "c":
+        peak = max(peak, np.abs(X.imag).max())
+    return float(np.ldexp(1.0, -int(np.frexp(peak)[1])))
+
+
 def is_simple(eigenvalues, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
     """Whether all eigenvalues are pairwise distinct under the gap tolerance.
 
     True iff the minimum pairwise distance exceeds
-    ``gap_tol * (1 + max modulus)``.
+    ``gap_tol * max modulus``, so scaling the spectrum changes nothing;
+    an all-zero spectrum of two or more values is never simple.
     """
     lam = np.asarray(eigenvalues, dtype=complex).ravel()
     if lam.size == 0:
@@ -59,7 +68,7 @@ def is_simple(eigenvalues, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
         return True
     diffs = np.abs(lam[:, None] - lam[None, :])
     min_gap = diffs[~np.eye(lam.size, dtype=bool)].min()
-    return bool(min_gap > gap_tol * (1.0 + np.abs(lam).max()))
+    return bool(min_gap > gap_tol * np.abs(lam).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,15 +143,21 @@ def check_residuals(
 ):
     """Raise EigensolveFailed if any pair violates ||v†A - lambda v†|| <= tol ||A||.
 
-    Raises NumericalBreakdown when the SVD giving ||A||_2 does not converge.
+    A and the eigenvalues are scaled by the power of two that brings A's
+    largest real or imaginary part into [1/2, 1) before any norm is
+    taken, so no square overflows or underflows; a message gives the
+    residual in the units of A. Raises NumericalBreakdown when the SVD
+    giving ||A||_2 does not converge.
     """
     A = as_square_matrix(A)
     if A.shape[0] != basis.n:
         raise DimensionMismatch(
             f"matrix is {A.shape[0]}x{A.shape[0]} but basis has {basis.n} pairs"
         )
+    s = power_of_two_scale(A)
+    A = A * s
     try:
-        scale = np.linalg.svd(A, compute_uv=False)[0]  # ||A||_2
+        scale = np.linalg.svd(A, compute_uv=False)[0]  # ||sA||_2
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"the 2-norm of the matrix failed: {exc}") from exc
     # One product decides every pair when each residual clears its bound
@@ -155,7 +170,7 @@ def check_residuals(
     n = basis.n
     with np.errstate(all="ignore"):
         Vc = basis.vectors.conj()
-        lams = basis.eigenvalues
+        lams = basis.eigenvalues * s
         res = np.linalg.norm(Vc @ A - lams[:, None] * Vc, axis=1)
         vnorm = np.linalg.norm(Vc, axis=1)
         u = 8 * (n + 2) * np.finfo(float).eps
@@ -163,12 +178,12 @@ def check_residuals(
         slack = u * ((np.sqrt(n) * scale + np.abs(lams)) * vnorm + res) + floor
         if np.all(res + slack < residual_tol * scale * (vnorm * (1 - u) - floor)):
             return
-    for j, (lam, v) in enumerate(basis, start=1):
-        res = np.linalg.norm(v.conj() @ A - lam * v.conj())
-        if res > residual_tol * scale * np.linalg.norm(v):
-            raise EigensolveFailed(
-                f"pair {j} residual {res:.3e} exceeds {residual_tol:.1e} * ||A||"
-            )
+        for j, (lam, v) in enumerate(zip(lams, basis.vectors), start=1):
+            res = np.linalg.norm(v.conj() @ A - lam * v.conj())
+            if not res <= residual_tol * scale * np.linalg.norm(v):  # NaN fails too
+                raise EigensolveFailed(
+                    f"pair {j} residual {res / s:.3e} exceeds {residual_tol:.1e} * ||A||"
+                )
 
 
 def left_eigenbasis(

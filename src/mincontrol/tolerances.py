@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 #: Residual bound for computed left-eigenpairs, relative to ||A||.
 DEFAULT_RESIDUAL_TOL = 1e-8
-#: Minimum eigenvalue separation, relative to 1 + max modulus.
+#: Minimum eigenvalue separation, relative to the largest eigenvalue modulus.
 DEFAULT_GAP_TOL = 1e-9
 #: Zero threshold for pattern extraction, relative to the largest entry.
 DEFAULT_ZERO_TOL = 1e-9

@@ -5,18 +5,22 @@ O(n^3): b goes to beta e1 and A to an upper Hessenberg H by unitary
 similarity (Paige, "Properties of numerical algorithms related to
 computing controllability", and Van Dooren, "The generalized
 eigenstructure problem in linear system theory", both IEEE TAC 26(1),
-1981). Every PBH-eigenvalue rank is that of a pencil of the form, ranked
-in O(n^2) (``_ranks``), and the Kalman rank follows from the pencils of
-its reachable block; that is the certificate of record. No SVD runs
-unless a pencil is close to rank deficient. When the eigenbasis is at
-hand too (every ``solve_mcp`` run), one SVD of the basis bounds the
-smallest singular value of every PBH pencil from below at once
-(``_basis_bound``), and only the shifts that bound cannot clear are
-ranked pencil by pencil: those where b is nearly orthogonal to a left
-eigenvector, or two eigenvalues nearly coincide. The PBH eigenvector
-test needs the eigenbasis instead. All verdicts depend on tolerances,
-which the report always embeds; when the tests disagree the report says
-so instead of silently reconciling them.
+1981). Every PBH-eigenvalue rank is that of a pencil of the form, and
+the Kalman rank follows from the pencils of its reachable block; that
+is the certificate of record. Every rank follows one rule (``_ranks``):
+a pencil has full rank when a rigorous lower bound on its smallest
+singular value exceeds delta, and otherwise one SVD decides. The bounds
+come from a left eigenbasis (``_lower_bound``; Eising, "Between
+controllable and uncontrollable", Systems & Control Letters 4, 1984):
+the basis of A when one is at hand (every ``solve_mcp`` run), else the
+form's own, from one ``eig`` (``_modes``). A bound at one shift serves
+any other less their distance, since sigma_min is 1-Lipschitz in the
+shift (``_extend``). So only the pencils where b is nearly orthogonal
+to a left eigenvector, two eigenvalues nearly coincide or the matrix is
+nearly defective take an SVD. The PBH eigenvector test needs the
+eigenbasis instead. All verdicts depend on tolerances, which the report
+always embeds; when the tests disagree the report says so instead of
+silently reconciling them.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .numerics import LeftEigenbasis, as_square_matrix, as_vector
+from .numerics import LeftEigenbasis, as_square_matrix, as_vector, power_of_two_scale
 from .tolerances import DEFAULT_TAU
 
 
@@ -106,14 +110,6 @@ class Staircase:
         return self.form.shape[0]
 
 
-def _power_of_two_scale(X: np.ndarray) -> float:
-    """2^-e, with 2^(e-1) <= the largest |part| of X < 2^e (1 for zero X)."""
-    peak = np.abs(X.real).max()
-    if X.dtype.kind == "c":
-        peak = max(peak, np.abs(X.imag).max())
-    return float(np.ldexp(1.0, -int(np.frexp(peak)[1])))
-
-
 def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex]:
     """Unit v with (I - 2 v v^H) x = alpha e1, and that alpha.
 
@@ -173,9 +169,9 @@ def staircase(A, b, rank_tol: float | None = None) -> Staircase:
     b = as_vector(b, n)
     if not (A.imag.any() or b.imag.any()):
         A, b = A.real, b.real
-    scale = _power_of_two_scale(A)
+    scale = power_of_two_scale(A)
     C = np.empty((n, n + 1), dtype=A.dtype)
-    C[:, 0] = b * _power_of_two_scale(b)
+    C[:, 0] = b * power_of_two_scale(b)
     C[:, 1:] = A * scale
     eps = np.finfo(float).eps
     tol = float((4 * n * eps if rank_tol is None else rank_tol) * np.linalg.norm(C[:, 1:]))
@@ -199,136 +195,36 @@ def staircase(A, b, rank_tol: float | None = None) -> Staircase:
     return Staircase(k=k, form=C, scale=scale, tol=tol)
 
 
-# A pencil's rank is taken as full without an SVD when the upper bound on its
-# smallest singular value exceeds this many times delta. On the seeded
-# families of the tests the bound overstates that value by at most 6.6x.
-_ESTIMATE_MARGIN = 64.0
-
-# Pencils are bounded in batches whose stacked triangles take at most this
-# many bytes, which caps the memory the certificate adds to a solve.
-_BATCH_BYTES = 3 << 20
+def _decide(f, *args, **kwargs):
+    """f(*args, **kwargs), with a LAPACK failure raised as NumericalBreakdown."""
+    try:
+        return f(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
 
 
-def _estimated_sigma_min(C: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Upper bounds on sigma_min([beta e1 | H - mu I]) for every shift mu.
+def _lower_bound(M: np.ndarray, v: np.ndarray, U: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Lower bounds on sigma_min([v | M - mu_j I]) at every eigenvalue mu_j of M.
 
-    C = [beta e1 | H] is upper trapezoidal, and so is each pencil. The
-    pencils are handled together, column by column (``R[c]`` holds rows
-    0..c of column c for every shift), in O(n^2) each: rotations of
-    column c with the last column fold it into the leading triangle R,
-    which keeps the singular values; then one step of inverse iteration
-    on R^H R from the LINPACK start (each u_i of unit modulus, chosen to
-    grow z = R^-H u) gives w = R^-1 z, and sigma_min <= ||R w|| / ||w|| =
-    ||z|| / ||w||. The bound is 0 where a solve breaks down (a zero pivot
-    or an overflow).
-    """
-    n, m = C.shape[0], shifts.size
-    dtype = np.result_type(C, shifts)
-    R = [np.repeat(C[: c + 1, c, None].astype(dtype), m, axis=1) for c in range(n + 1)]
-    for c in range(1, n + 1):
-        R[c][c - 1] -= shifts
-    last = R[n]
-    for j in range(n - 1, -1, -1):  # rotate columns j and n to zero last[j]
-        a, g = R[j][j].copy(), last[j].copy()
-        r = np.hypot(np.abs(a), np.abs(g))
-        a[r == 0], r[r == 0] = 1, 1
-        a /= r
-        g /= r
-        cj, cn = R[j], last[: j + 1]
-        R[j], last[: j + 1] = cj * a.conj() + cn * g.conj(), cn * a - cj * g
-    z = np.zeros((n, m), dtype=dtype)
-    with np.errstate(all="ignore"):
-        for i in range(n):  # R^H z = u: row i of R^H is column i of R, conjugated
-            s = np.einsum("lm,lm->m", R[i][:i].conj(), z[:i])
-            size = np.abs(s)
-            u = np.where(size > 0, -s / np.where(size > 0, size, 1), 1)
-            z[i] = (u - s) / R[i][i].conj()
-        w = z.copy()
-        for c in range(n - 1, -1, -1):  # R w = z, column by column
-            w[c] /= R[c][c]
-            w[:c] -= R[c][:c] * w[c]
-        bound = np.linalg.norm(z, axis=0) / np.linalg.norm(w, axis=0)
-    return np.where(np.isfinite(bound), bound, 0.0)
-
-
-def _ranks(C: np.ndarray, shifts, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical ranks of [beta e1 | H - mu I], one per shift mu.
-
-    The rank is the number of singular values above ``tol``. It is n
-    without an SVD when ``_estimated_sigma_min`` exceeds _ESTIMATE_MARGIN
-    times ``tol``, or when mu is not finite (then |mu| exceeds ||H|| + tol
-    by far); otherwise one SVD decides it. Real shifts of a real form are
-    ranked in float64, the others in complex arithmetic.
-
-    Returns the ranks and, per shift, whether sigma_min of its pencil is
-    known to exceed 2 ``tol``: from the bound when it exceeds twice the
-    margin (on the same less-than-64x overstatement that taking the rank
-    as n from the bound assumes), from the SVD when the shift took one.
-    It is False for a non-finite shift.
-
-    ``verification_report`` sends here only the shifts that the basis
-    lower bound (``_basis_bound``) leaves at or below 2 delta, and the
-    Kalman modes no anchor matches; ``pbh_eigenvalue_test`` and
-    ``kalman_test`` send every shift.
-    """
-    n = C.shape[0]
-    shifts = np.asarray(shifts, dtype=complex)
-    ranks = np.full(shifts.size, n)
-    anchored = np.zeros(shifts.size, dtype=bool)
-    finite = np.isfinite(shifts)
-    if C.dtype.kind == "f":
-        real = finite & (shifts.imag == 0)
-        groups = ((real, shifts.real), (finite & ~real, shifts))
-    else:
-        groups = ((finite, shifts),)
-    diagonal = np.arange(n)
-    for selected, values in groups:
-        idx = np.flatnonzero(selected)
-        if not idx.size:
-            continue
-        mus = values[idx]
-        triangle = (n + 1) * (n + 2) // 2 * np.result_type(C, mus).itemsize
-        size = max(1, _BATCH_BYTES // triangle)
-        bound = np.concatenate(
-            [_estimated_sigma_min(C, mus[s : s + size]) for s in range(0, mus.size, size)]
-        )
-        anchored[idx] = bound > 2 * _ESTIMATE_MARGIN * tol
-        for i in np.flatnonzero(~(bound > _ESTIMATE_MARGIN * tol)):
-            M = C.astype(np.result_type(C, mus))
-            M[diagonal, diagonal + 1] -= mus[i]
-            try:
-                s = np.linalg.svd(M, compute_uv=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
-            ranks[idx[i]] = int(np.sum(s > tol))
-            anchored[idx[i]] = s[-1] > 2 * tol
-    return ranks, anchored
-
-
-def _basis_bound(A, b, basis: LeftEigenbasis, form: Staircase, shifts: np.ndarray) -> np.ndarray:
-    """Lower bounds on sigma_min([t b | sA - mu_j I]) at every shift mu_j.
-
-    The shifts are s lambda_j for the basis eigenvalues, in the units of
-    ``form``. With U the conjugated basis (rows u_i, u_i A ~ lambda_i
-    u_i) normalized, E = U(sA) - diag(mu) U and w = U(tb), writing a
-    left singular vector as y = aU gives ||y P_j||^2 >=
+    U holds left eigenvectors of M as rows (u_j M ~ mu_j u_j), in any
+    scaling. With its rows normalized, E = UM - diag(mu) U and w = Uv,
+    writing a left singular vector as y = aU gives ||y P_j||^2 >=
     (sigma_min(U) ||a (diag(mu) - mu_j I)|| - ||a|| ||E||)^2 + |a w|^2
     with ||y|| <= sigma_max(U) ||a||. The smallest eigenvalue of the
     diagonal-plus-rank-one matrix sigma_min(U)^2 |diag(mu) - mu_j I|^2
     + w w^H is at least l_j = min(min_i d_i / 2, |w_j|^2 / (1 + 2
     sum_i |w_i|^2 / d_i)), i != j, d_i = sigma_min(U)^2 |mu_i - mu_j|^2,
     from its secular equation; so sigma_min(P_j) >= (sqrt(l_j) - ||E||)
-    / sigma_max(U). It holds for any basis: an inaccurate one only makes
-    ||E|| larger. One SVD of U serves every shift. ||E||, the singular
-    values of U and w carry a rounding slack (as in
-    ``check_residuals``), and the bound is 0 wherever a value is not
-    finite. The arithmetic is real when U and A are.
+    / sigma_max(U). It holds for any U: inaccurate pairs only make ||E||
+    larger, and nearly parallel rows (M defective or nearly so) make
+    sigma_min(U), and the bound with it, small. One SVD of U serves every
+    shift. ||E||, the singular values of U and w carry a rounding slack
+    (as in ``check_residuals``), and the bound is 0 wherever a value is
+    not finite. The arithmetic is real when U, M and mu are.
     """
-    n = form.n
-    A, b = as_square_matrix(A), as_vector(b, n)
-    U = basis.vectors.conj()
-    if not (U.imag.any() or A.imag.any() or shifts.imag.any()):
-        U, A, shifts = U.real, A.real, shifts.real
+    n = M.shape[0]
+    if not (U.imag.any() or M.imag.any() or mu.imag.any()):
+        U, M, mu = U.real, M.real, mu.real
     u = 8 * (n + 2) * np.finfo(float).eps
     floor = n * np.sqrt(np.finfo(float).tiny)
     with np.errstate(all="ignore"):
@@ -341,60 +237,92 @@ def _basis_bound(A, b, basis: LeftEigenbasis, form: Staircase, shifts: np.ndarra
             return np.zeros(n)
         low = max(sigma[-1] - u * frobenius, 0.0) * (1 - u)
         high = sigma[0] + u * frobenius
-        sA, tb = A * form.scale, b * _power_of_two_scale(b)
-        muU = shifts[:, None] * U
-        residual = np.linalg.norm(U @ sA - muU) * (1 + u)
-        residual += u * (frobenius * np.linalg.norm(sA) + np.linalg.norm(muU)) + floor
-        w, werr = np.abs(U @ tb), u * rows * np.linalg.norm(tb)
-        gaps = (low * np.abs(shifts[:, None] - shifts)) ** 2
+        muU = mu[:, None] * U
+        residual = np.linalg.norm(U @ M - muU) * (1 + u)
+        residual += u * (frobenius * np.linalg.norm(M) + np.linalg.norm(muU)) + floor
+        w, werr = np.abs(U @ v), u * rows * np.linalg.norm(v)
+        gaps = (low * np.abs(mu[:, None] - mu)) ** 2
         np.fill_diagonal(gaps, np.inf)
         secular = ((w + werr) ** 2) @ (1 / gaps)
         ell = np.minimum(gaps.min(axis=0) / 2, np.maximum(w - werr, 0) ** 2 / (1 + 2 * secular))
         bound = (np.sqrt(ell) * (1 - u) - residual) / high
-    return np.where(np.isfinite(bound) & np.isfinite(shifts), bound, 0.0)
+    return np.where(np.isfinite(bound) & np.isfinite(mu), bound, 0.0)
 
 
-def _near(modes: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each mode lies within ``tol`` of some anchor.
+def _modes(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues mu of H = C[:, 1:] and ``_lower_bound``s on
+    sigma_min([C[:, 0] | H - mu I]) from H's own left eigenvectors, all
+    from one ``eig`` of H^T (whose right eigenvectors are H's left ones)."""
+    H = C[:, 1:]
+    modes, Z = _decide(np.linalg.eig, H.T)
+    return modes, _lower_bound(H, C[:, 0], Z.T, modes)
 
-    Modes are compared in batches of at most _BATCH_BYTES of differences.
+
+def _extend(lower: np.ndarray, shifts: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """max_j(lower_j - |nu - mu_j|) at every nu of ``at``, over the finite
+    shifts mu_j: sigma_min of a pencil [beta e1 | H - nu I] is 1-Lipschitz
+    in nu, so a lower bound at mu_j holds, less the distance, at nu."""
+    finite = np.isfinite(shifts)
+    gaps = np.abs(at[:, None] - shifts[finite])
+    return np.max(lower[finite] - gaps, axis=1, initial=-np.inf)
+
+
+def _ranks(
+    C: np.ndarray, shifts, lower: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks of [beta e1 | H - mu I], one per shift mu.
+
+    The rank is the number of singular values above ``tol``. It is n
+    without an SVD where ``lower``, a rigorous lower bound on sigma_min
+    of the pencil, exceeds ``tol``, or where mu is not finite (then |mu|
+    exceeds ||H|| + tol by far); otherwise one SVD decides it. Real shifts
+    of a real form are ranked in float64, the others in complex
+    arithmetic. Returns the ranks and the bounds, in which the sigma_min
+    of every SVD that ran stands in for the bound it replaced.
     """
-    near = np.zeros(modes.size, dtype=bool)
-    if anchors.size:
-        size = max(1, _BATCH_BYTES // (anchors.size * anchors.itemsize))
-        for s in range(0, modes.size, size):
-            near[s : s + size] = (np.abs(modes[s : s + size, None] - anchors) <= tol).any(axis=1)
-    return near
+    n = C.shape[0]
+    shifts = np.asarray(shifts, dtype=complex)
+    ranks = np.full(shifts.size, n)
+    lower = np.array(lower, dtype=float)
+    diagonal = np.arange(n)
+    for i in np.flatnonzero(np.isfinite(shifts) & ~(lower > tol)):
+        mu = shifts[i].real if C.dtype.kind == "f" and shifts[i].imag == 0 else shifts[i]
+        M = C.astype(np.result_type(C, mu))
+        M[diagonal, diagonal + 1] -= mu
+        s = _decide(np.linalg.svd, M, compute_uv=False)
+        ranks[i], lower[i] = int(np.sum(s > tol)), s[-1]
+    return ranks, lower
 
 
-def _kalman(form: Staircase, anchors: np.ndarray | None = None) -> KalmanResult:
+def _kalman(
+    form: Staircase, shifts: np.ndarray | None = None, lower: np.ndarray | None = None
+) -> KalmanResult:
     """Rank of [b, Ab, ..., A^(n-1) b]: k less the unreachable modes of H11.
 
     The modes are the eigenvalues mu of H11 = H[:k, :k], the block b
     reaches in exact arithmetic; each is ranked by the pencil
-    [beta e1 | H11 - mu I]. In exact arithmetic H11 with beta e1 is
-    reachable and H11 is non-derogatory, so each mu with rank below k is
-    one unreachable dimension. A pair can lie within rounding of an
-    uncontrollable one with no small subdiagonal (Paige 1981), so k alone
-    would overstate the rank.
+    [beta e1 | H11 - mu I] (``_ranks``). In exact arithmetic H11 with
+    beta e1 is reachable and H11 is non-derogatory, so each mu with rank
+    below k is one unreachable dimension. A pair can lie within rounding
+    of an uncontrollable one with no small subdiagonal (Paige 1981), so k
+    alone would overstate the rank.
 
-    ``anchors`` are shifts at which sigma_min of the pencil of the whole
-    form is known to exceed 2 delta (see ``_ranks``). When k = n, a mode
-    within delta of an anchor has rank n without a pencil of its own:
-    sigma_min is 1-Lipschitz in the shift, so at the mode it exceeds
-    2 delta - delta = delta.
+    ``lower`` bounds sigma_min of the pencils of the whole form from
+    below at ``shifts``. When those are given and k = n, the modes are
+    the eigenvalues of H and take their bounds from the shifts
+    (``_extend``); otherwise the modes and their bounds come from H11's
+    own left eigenvectors (``_modes``).
     """
     k = form.k
-    try:
-        modes = np.linalg.eigvals(form.form[:k, 1 : k + 1]) if k else np.empty(0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
-    ranks = np.full(k, k)
-    unmatched = np.ones(k, dtype=bool)
-    if anchors is not None and k == form.n:
-        unmatched = ~_near(modes, anchors, form.tol)
-    ranks[unmatched] = _ranks(form.form[:k, : k + 1], modes[unmatched], form.tol)[0]
-    rank = k - int(np.sum(ranks < k))
+    if not k:
+        return KalmanResult(controllable=False, rank=0)
+    C = form.form[:k, : k + 1]
+    if shifts is not None and k == form.n:
+        modes = _decide(np.linalg.eigvals, C[:, 1:])
+        lower = _extend(lower, shifts, modes)
+    else:
+        modes, lower = _modes(C)
+    rank = k - int(np.sum(_ranks(C, modes, lower, form.tol)[0] < k))
     return KalmanResult(controllable=rank == form.n, rank=rank)
 
 
@@ -421,12 +349,16 @@ def pbh_eigenvalue_test(
     Checking the spectrum suffices: for any other lambda the first block
     alone already has full rank. Each rank is that of the unitarily
     equivalent pencil [beta e1 | H - s lambda I] of one ``staircase``
-    reduction (b scaled by t instead of s); see ``_ranks`` for how it is
-    decided and what it costs.
+    reduction (b scaled by t instead of s). The pencils at H's own
+    eigenvalues are bounded from below by H's left eigenvectors
+    (``_modes``), and those bounds extend to the supplied eigenvalues
+    (``_extend``); see ``_ranks`` for the rule.
     """
     form = staircase(A, b, rank_tol)
     shifts = _scaled_eigenvalues(form, eigenvalues)
-    return _pbh_eigenvalue(form, _ranks(form.form, shifts, form.tol)[0])
+    modes, lower = _modes(form.form)
+    ranks = _ranks(form.form, shifts, _extend(lower, modes, shifts), form.tol)[0]
+    return _pbh_eigenvalue(form, ranks)
 
 
 def pbh_eigenvector_test(
@@ -474,19 +406,17 @@ def verification_report(
     With a matrix, one ``staircase`` reduction gives both the Kalman
     result and (with a basis) the PBH-eigenvalue ranks, the same values
     ``kalman_test`` and ``pbh_eigenvalue_test`` give. The PBH shifts are
-    ranked first. ``_basis_bound`` bounds sigma_min of every PBH pencil
-    of the scaled pair from below; the form's pencils differ from those
-    by the reduction's backward error, at most delta / 2 for the default
-    delta (see ``staircase``; a smaller ``rank_tol`` counts as the
-    default here). A shift whose bound exceeds 2 delta has rank n
-    without a pencil of its own, and above 3 delta its pencil in the form
-    has sigma_min above 2 delta. Every other shift goes to ``_ranks``.
-    When b reaches the whole form (k = n) both tests rank pencils of
-    [beta e1 | H], and a Kalman mode within delta of a shift with
-    sigma_min above 2 delta takes rank n from it (see ``_kalman``). The
-    modes and the shifts are two computed copies of one spectrum, so a
-    certified pair whose every mode lies within delta of a shift that
-    clears 3 delta ranks no pencil at all.
+    ranked first. The basis bounds sigma_min of every PBH pencil of the
+    scaled pair from below (``_lower_bound``); the form's pencils differ
+    from those by the reduction's backward error, at most delta / 2 for
+    the default delta (see ``staircase``), which is subtracted whatever
+    ``rank_tol`` is. When b reaches the whole form (k = n), the Kalman
+    modes are a second computed copy of the same spectrum, and their
+    pencils take their bounds from the shifts' (see ``_kalman``), the
+    sigma_min of a PBH pencil that took an SVD included. So a certified
+    pair ranks only the pencils the basis cannot clear: those where b is
+    nearly orthogonal to a left eigenvector, or two eigenvalues nearly
+    coincide.
     """
     if A is None and basis is None:
         raise ValueError("verification needs a matrix, an eigenbasis, or both")
@@ -494,17 +424,18 @@ def verification_report(
     kalman = pbh_val = None
     if A is not None:
         form = staircase(A, b, rank_tol)
-        anchors = None
+        shifts = lower = None
         if basis is not None:
             shifts = _scaled_eigenvalues(form, basis.eigenvalues)
-            bound = _basis_bound(A, b, basis, form, shifts)
-            default_tol = 4 * form.n * np.finfo(float).eps * np.linalg.norm(form.form[:, 1:])
-            unit = max(form.tol, default_tol)
-            ranks, anchored = np.full(shifts.size, form.n), bound > 3 * unit
-            rest = np.flatnonzero(~(bound > 2 * unit))
-            ranks[rest], anchored[rest] = _ranks(form.form, shifts[rest], form.tol)
-            pbh_val, anchors = _pbh_eigenvalue(form, ranks), shifts[anchored]
-        kalman = _kalman(form, anchors)
+            sA = as_square_matrix(A) * form.scale
+            tb = as_vector(b, form.n)
+            tb = tb * power_of_two_scale(tb)
+            # delta / 2 for the default delta = 4 n eps ||H||_F
+            backward = 2 * form.n * np.finfo(float).eps * np.linalg.norm(form.form[:, 1:])
+            lower = _lower_bound(sA, tb, basis.vectors.conj(), shifts) - backward
+            ranks, lower = _ranks(form.form, shifts, lower, form.tol)
+            pbh_val = _pbh_eigenvalue(form, ranks)
+        kalman = _kalman(form, shifts, lower)
     return VerificationReport(
         pbh_eigenvalue=pbh_val,
         pbh_eigenvector=pbh_vec,

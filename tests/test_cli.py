@@ -18,7 +18,13 @@ from mincontrol.cli import (
     run_command,
     save_problem,
 )
-from conftest import DATA_DIR, GOLDEN_A, GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS
+from conftest import (
+    DATA_DIR,
+    GOLDEN_A,
+    GOLDEN_EIGENVALUES,
+    GOLDEN_LEFT_EIGENVECTORS,
+    random_simple_matrix,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "docs" / "report-schema.json").read_text())
@@ -469,6 +475,26 @@ class TestVerifyCommand:
         assert code == 0
         assert report["status"] == "ok"
         assert report["result"] == {"controllable": True, "rank": 3}
+
+
+class TestScaledInputs:
+    """Scaling A changes neither the support nor the exit code."""
+
+    @pytest.mark.parametrize("c", [1e-14, 1e-12, 1e-10, 1e200, 1e250, 1e300])
+    def test_scaled_golden(self, capsys, tmp_path, c):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"matrix": (c * GOLDEN_A).tolist()}))
+        code, report = run_json(capsys, "solve-mcp", str(path))
+        assert code == 0
+        assert report["solution"]["support"] == [2, 3, 4]
+
+    def test_huge_dense_matrix(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        A = 1e200 * random_simple_matrix(np.random.default_rng(424), 6)
+        path.write_text(json.dumps({"matrix": A.tolist()}))
+        code, report = run_json(capsys, "solve-mcp", str(path))
+        assert code == 0
+        assert report["solution"]["support"] == [1]
 
 
 class TestOracleCommand:

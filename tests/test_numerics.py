@@ -288,6 +288,17 @@ class TestIsSimple:
     def test_complex_pairs(self):
         assert is_simple([1 + 1j, 1 - 1j], gap_tol=1e-9)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-14, 1e-10, 1.0, 1e200])
+    def test_gap_relative_to_the_largest_modulus(self, c):
+        # Scaling the spectrum changes no verdict.
+        assert is_simple(c * GOLDEN_EIGENVALUES, gap_tol=1e-9)
+        assert not is_simple(c * np.array([1.0, 1.0 + 1e-12]), gap_tol=1e-9)
+
+    def test_all_zero_spectrum(self):
+        assert not is_simple([0.0, 0.0], gap_tol=1e-9)
+        assert not is_simple(np.zeros(4), gap_tol=1e-9)
+        assert is_simple([0.0], gap_tol=1e-9)
+
 
 class TestNumericalRank:
     def test_worked_reachability_rows(self):
@@ -368,6 +379,36 @@ class TestCheckResiduals:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NumericalBreakdown, match="2-norm"):
             check_residuals(golden_a, basis)
+
+    def test_huge_entries(self):
+        # Rounding-level residual entries near 1e184 would overflow their
+        # squares; in the scaled units of A they cannot.
+        A = 1e200 * random_simple_matrix(np.random.default_rng(424), 6)
+        with np.errstate(over="raise", invalid="raise"):
+            basis = left_eigenbasis(A)
+        assert np.isfinite(basis.eigenvalues).all()
+
+    def test_eigenvalue_far_beyond_the_scale_fails(self):
+        # Scaled with A, the eigenvalue overflows and its residual is NaN:
+        # that fails the pair as the unscaled residual of 1e10 does.
+        basis = LeftEigenbasis([1e10, 2e-300], np.eye(2))
+        with pytest.raises(EigensolveFailed, match="pair 1 residual"):
+            check_residuals(np.diag([1e-300, 2e-300]), basis)
+
+    @pytest.mark.parametrize("e", [-900, -600, 0, 600, 900])
+    def test_message_gives_the_unscaled_residual(self, e):
+        # Scaled by 2^e, the same pairs fail with the residual scaled by
+        # exactly 2^e, in the message too.
+        A = random_simple_matrix(np.random.default_rng(7), 5)
+        exact = left_eigenbasis(A)
+        moved = exact.eigenvalues + 1e-3
+        v = exact.vectors[0]
+        residual = np.linalg.norm(v.conj() @ A - moved[0] * v.conj())
+        c = 2.0**e
+        basis = LeftEigenbasis(c * moved, exact.vectors)
+        with pytest.raises(EigensolveFailed) as info:
+            check_residuals(c * A, basis)
+        assert str(info.value) == f"pair 1 residual {c * residual:.3e} exceeds 1.0e-08 * ||A||"
 
 
 class TestControllabilityMatrix:

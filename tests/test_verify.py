@@ -99,30 +99,37 @@ def unitary(rng, n, complex_entries):
     return np.linalg.qr(Z)[0]
 
 
-def spy_bounded_shifts(monkeypatch):
-    """Spy on ``_estimated_sigma_min``; the list holds each batch's shifts."""
-    batches = []
-    estimate = verify._estimated_sigma_min
+def spy_pencil_svds(monkeypatch):
+    """Spy on the pencil SVDs: the list holds, per ``_ranks`` call, the
+    number of pencils that call took an SVD of."""
+    calls = []
+    ranks, svd = verify._ranks, np.linalg.svd
 
-    def spy(C, shifts):
-        batches.append(shifts.copy())
-        return estimate(C, shifts)
+    def ranks_spy(*args):
+        calls.append(0)
+        return ranks(*args)
 
-    monkeypatch.setattr(verify, "_estimated_sigma_min", spy)
-    return batches
+    def svd_spy(X, *args, **kwargs):
+        if X.shape[1] == X.shape[0] + 1:
+            calls[-1] += 1
+        return svd(X, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_ranks", ranks_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    return calls
 
 
 def check_ranked_once(monkeypatch, A, b, basis):
     """``verification_report`` gives the stand-alone tests' results, and on
-    a k = n pair bounds at most n shifts plus one per deficient PBH rank
-    (a mode next to a deficient shift has no anchor to take its rank from)."""
-    batches = spy_bounded_shifts(monkeypatch)
+    a k = n pair takes at most n pencil SVDs plus one per deficient PBH
+    rank (a mode next to a deficient shift takes no bound from it)."""
+    calls = spy_pencil_svds(monkeypatch)
     report = verification_report(b, A=A, basis=basis)
     monkeypatch.undo()
     n = len(A)
     deficient = sum(r < n for r in report.pbh_eigenvalue.ranks)
     if verify.staircase(A, b).k == n:
-        assert sum(s.size for s in batches) <= n + deficient
+        assert sum(calls) <= n + deficient
     assert report.kalman == kalman_test(A, b)
     assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, basis.eigenvalues)
     return report
@@ -225,61 +232,37 @@ class TestPbhRanksAgainstComplexReference:
     @pytest.mark.parametrize(
         "A, b, eigenvalues, dtypes",
         [
-            (np.diag([1.0, 2.0]) + 0j, [1.0, 1.0], [1.0, 2.0], ("float64", ["float64"], [])),
-            (np.diag([1.0, 2.0]), [1.0, 1j], [1.0, 2.0], ("complex128", ["complex128"], [])),
-            (np.diag([1.0, 2.0]), [1.0, 1.0], [1.0, 2.0 + 0j], ("float64", ["float64"], [])),
-            (
-                np.diag([1.0, 2.0]),
-                [1.0, 1.0],
-                [1.0, 2.0 + 1e-300j],
-                ("float64", ["float64", "complex128"], []),
-            ),
-            (
-                np.diag([1.0, 2.0 + 1e-300j]),
-                [1.0, 1.0],
-                [1.0, 2.0],
-                ("complex128", ["complex128"], []),
-            ),
-            (
-                np.diag([1.0, 2.0]),
-                [1.0, 0.0],
-                [1.0, 2.0 + 1e-300j],
-                ("float64", ["float64", "complex128"], ["complex128"]),
-            ),
-            (
-                np.diag([1.0, 2.0 + 1e-300j]),
-                [1.0, 0.0],
-                [1.0, 2.0],
-                ("complex128", ["complex128"], ["complex128"]),
-            ),
+            (np.diag([1.0, 2.0]) + 0j, [1.0, 1.0], [1.0, 2.0], ("float64", [])),
+            (np.diag([1.0, 2.0]), [1.0, 1j], [1.0, 2.0], ("complex128", [])),
+            (np.diag([1.0, 2.0]), [1.0, 1.0], [1.0, 2.0 + 0j], ("float64", [])),
+            (np.diag([1.0, 2.0]), [1.0, 1.0], [1.0, 2.0 + 1e-300j], ("float64", [])),
+            (np.diag([1.0, 2.0 + 1e-300j]), [1.0, 1.0], [1.0, 2.0], ("complex128", [])),
+            (np.diag([1.0, 2.0]), [1.0, 0.0], [1.0, 2.0], ("float64", ["float64"])),
+            (np.diag([1.0, 2.0]), [1.0, 0.0], [1.0, 2.0 + 1e-300j], ("float64", ["complex128"])),
+            (np.diag([1.0, 2.0 + 1e-300j]), [1.0, 0.0], [1.0, 2.0], ("complex128", ["complex128"])),
         ],
     )
     def test_arithmetic_follows_the_values(self, monkeypatch, A, b, eigenvalues, dtypes):
-        # dtypes: the arithmetic of the staircase reduction, of each batch
-        # of shifts ranked together, and of each SVD that settles a rank
-        # the batch could not (only where a pencil is rank deficient).
-        reductions, batches, ranked = [], [], []
-        staircase, estimate, svd = verify.staircase, verify._estimated_sigma_min, np.linalg.svd
+        # dtypes: the arithmetic of the staircase reduction and of each
+        # pencil SVD that settles a rank the bound could not (only where a
+        # pencil is rank deficient).
+        reductions, ranked = [], []
+        staircase, svd = verify.staircase, np.linalg.svd
 
         def staircase_spy(*args, **kwargs):
             form = staircase(*args, **kwargs)
             reductions.append(form.form.dtype.name)
             return form
 
-        def estimate_spy(C, shifts):
-            bound = estimate(C, shifts)
-            batches.append(np.result_type(C, shifts).name)
-            return bound
-
         def svd_spy(X, *args, **kwargs):
-            ranked.append(X.dtype.name)
+            if X.shape[1] == X.shape[0] + 1:
+                ranked.append(X.dtype.name)
             return svd(X, *args, **kwargs)
 
         monkeypatch.setattr(verify, "staircase", staircase_spy)
-        monkeypatch.setattr(verify, "_estimated_sigma_min", estimate_spy)
         monkeypatch.setattr(np.linalg, "svd", svd_spy)
         pbh_eigenvalue_test(A, b, eigenvalues)
-        assert (reductions, batches, ranked) == ([dtypes[0]], dtypes[1], dtypes[2])
+        assert (reductions, ranked) == ([dtypes[0]], dtypes[1])
 
 
 class TestPbhEigenvector:
@@ -409,12 +392,12 @@ class TestVerificationReport:
         assert oracle.optimal_supports == ((1, 2, 3),)
         assert oracle.kalman_verdicts == (True,)
 
-    def test_inaccurate_basis_modes_ranked_directly(self, monkeypatch):
-        # Eigenvalues moved by about 10 delta still pass the residual check,
-        # but no mode lies within delta of them: every mode gets a pencil
-        # of its own, and the Kalman result is kalman_test's. The basis
-        # bound, which counts the move in ||E||, still clears every PBH
-        # shift, so no shift reaches the estimator.
+    def test_inaccurate_basis_modes_clear_by_extension(self, monkeypatch):
+        # Eigenvalues moved by about 10 delta still pass the residual check.
+        # The basis bound counts the move in ||E|| and still clears every
+        # PBH shift by far more than 10 delta, so every Kalman mode, 10
+        # delta from its shift, clears too: no pencil takes an SVD, and the
+        # results are those of the stand-alone tests.
         rng = np.random.default_rng(409)
         A = real_spectrum_matrix(rng, 8)
         b = rng.normal(size=8)
@@ -423,29 +406,13 @@ class TestVerificationReport:
         moved = computed.eigenvalues + 10 * form.tol / form.scale
         basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
         assert form.k == 8 and not moved.imag.any()
-        batches = spy_bounded_shifts(monkeypatch)
+        calls = spy_pencil_svds(monkeypatch)
         report = verification_report(b, A=A, basis=basis)
         monkeypatch.undo()
-        assert [s.size for s in batches] == [8]
-        np.testing.assert_allclose(batches[0], np.linalg.eigvals(form.form[:, 1:]))
-        assert not np.isin(batches[0], moved * form.scale).any()
+        assert calls == [0, 0]
         assert report.kalman == kalman_test(A, b) == KalmanResult(controllable=True, rank=8)
         assert report.pbh_eigenvalue.controllable
         assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, moved)
-
-    @pytest.mark.parametrize("margins, anchored", [(1.5, False), (2.5, True)])
-    def test_bound_anchors_above_twice_the_margin(self, monkeypatch, margins, anchored):
-        # A bound above the margin gives rank n. It anchors Kalman modes
-        # only above twice the margin: then sigma_min > 2 delta under the
-        # same overstatement the margin itself assumes.
-        rng = np.random.default_rng(410)
-        A = real_spectrum_matrix(rng, 6)
-        form = verify.staircase(A, rng.normal(size=6))
-        bound = margins * verify._ESTIMATE_MARGIN * form.tol
-        monkeypatch.setattr(verify, "_estimated_sigma_min", lambda C, s: np.full(s.size, bound))
-        ranks, anchors = verify._ranks(form.form, np.linalg.eigvals(A) * form.scale, form.tol)
-        assert (ranks == 6).all()
-        assert (anchors == anchored).all()
 
     def test_tolerances_recorded(self, golden_a, integer_basis):
         report = verification_report(
@@ -478,14 +445,17 @@ def scaled_pencil_sigma_min(A, b, form, eigenvalues):
 
 
 def basis_bound(A, b, basis, rank_tol=None):
-    """``_basis_bound`` at the basis eigenvalues, with the form it used."""
+    """``_lower_bound`` of the scaled pair [t b | sA - s lambda_j I] at the
+    basis eigenvalues, as ``verification_report`` takes it, with the form."""
     form = verify.staircase(A, b, rank_tol)
     shifts = verify._scaled_eigenvalues(form, basis.eigenvalues)
-    return verify._basis_bound(A, b, basis, form, shifts), form
+    b = np.asarray(b, dtype=complex)
+    sA, tb = np.asarray(A, dtype=complex) * form.scale, b * verify.power_of_two_scale(b)
+    return verify._lower_bound(sA, tb, basis.vectors.conj(), shifts), form
 
 
-def zero_bound(A, b, basis, form, shifts):
-    return np.zeros(shifts.size)
+def zero_bound(M, v, U, mu):
+    return np.zeros(mu.size)
 
 
 class TestBasisBound:
@@ -631,8 +601,8 @@ class TestBasisBound:
             assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, np.diag(A))
 
     def test_zero_bound_changes_no_result(self, monkeypatch, golden_a, integer_basis):
-        # With the bound at zero every shift takes the pencil ranks: the
-        # report (ranks, Kalman result, verdicts) is the same.
+        # With every bound at zero every pencil takes an SVD: the report
+        # (ranks, Kalman result, verdicts) is the same.
         rng = np.random.default_rng(425)
         cases = [(golden_a, B_WORKED, integer_basis), (golden_a, np.eye(5)[1], integer_basis)]
         for n in (10, 40, 100):
@@ -645,44 +615,133 @@ class TestBasisBound:
         deficient = 0
         for A, b, basis in cases:
             report = verification_report(b, A=A, basis=basis)
-            monkeypatch.setattr(verify, "_basis_bound", zero_bound)
+            monkeypatch.setattr(verify, "_lower_bound", zero_bound)
             assert verification_report(b, A=A, basis=basis) == report
             monkeypatch.undo()
             deficient += not report.pbh_eigenvalue.controllable
         assert deficient
 
     @pytest.mark.parametrize(
-        "factor, rank_tol, pbh_bounded, modes_bounded",
-        [
-            (1.5, None, True, False),
-            (2.5, None, False, True),
-            (3.5, None, False, False),
-            (3.5, 1e-30, True, False),
-        ],
+        "factor, rank_tol, svds",
+        [(1.4, None, [6, 0]), (1.6, None, [0, 6]), (2.1, None, [0, 0]), (2.1, 1e-30, [6, 0])],
     )
-    def test_bound_clears_above_2_and_anchors_above_3_delta(
-        self, monkeypatch, factor, rank_tol, pbh_bounded, modes_bounded
+    def test_bound_clears_above_delta_and_extends_to_the_modes(
+        self, monkeypatch, factor, rank_tol, svds
     ):
-        # Above 2 delta a shift takes rank n without a pencil; above 3 delta
-        # it also anchors the Kalman modes within delta of it. delta never
-        # counts below its default there: the form's pencils carry the
-        # reduction's own backward error.
+        # With the basis bound stubbed at factor * delta, a PBH pencil in
+        # the form has sigma_min >= (factor - 1/2) delta, the default
+        # delta / 2 being the reduction's backward error whatever rank_tol
+        # is: it clears above delta. The eigenvalues are moved by delta / 2,
+        # so each Kalman mode takes that bound less delta / 2, or the
+        # sigma_min of its shift's SVD. svds: the pencil SVDs of the PBH
+        # shifts and of the modes.
         rng = np.random.default_rng(426)
         A = real_spectrum_matrix(rng, 6)
         b = rng.normal(size=6)
-        basis = left_eigenbasis(A)
+        computed = left_eigenbasis(A)
+        default = verify.staircase(A, b)
+        moved = computed.eigenvalues + default.tol / 2 / default.scale
+        basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
         form = verify.staircase(A, b, rank_tol)
-        shifts = verify._scaled_eigenvalues(form, basis.eigenvalues)
-        monkeypatch.setattr(
-            verify, "_basis_bound", lambda *args: np.full(6, factor * form.tol)
-        )
-        batches = spy_bounded_shifts(monkeypatch)
+        monkeypatch.setattr(verify, "_lower_bound", lambda *args: np.full(6, factor * form.tol))
+        calls = spy_pencil_svds(monkeypatch)
         report = verification_report(b, A=A, basis=basis, rank_tol=rank_tol)
-        bounded = np.concatenate(batches) if batches else np.empty(0)
-        assert np.isin(shifts, bounded).all() == pbh_bounded
-        assert (bounded.size - pbh_bounded * 6 == 6) == modes_bounded
+        assert default.k == 6 and calls == svds
         assert report.pbh_eigenvalue.ranks == (6,) * 6
         assert report.kalman == KalmanResult(controllable=True, rank=6)
+
+
+def pencil_sigma_min(C, shifts):
+    """SVD sigma_min of [C[:, 0] | C[:, 1:] - mu I] per shift mu, in complex."""
+    m = C.shape[0]
+    return np.array(
+        [np.linalg.svd(C - mu * np.eye(m, m + 1, 1), compute_uv=False)[-1] for mu in shifts]
+    )
+
+
+class TestOwnBound:
+    """The bound from the form's own left eigenvectors, and its extension."""
+
+    @staticmethod
+    def check_sound(A, b, rng, sample=40):
+        """On the whole form and on its reachable block, neither the own
+        bound at the modes nor its extension to nearby shifts exceeds the
+        SVD's sigma_min (at up to ``sample`` random modes and shifts of
+        each kind). Returns the share of modes of the whole form the bound
+        clears (above delta) and k."""
+        form = verify.staircase(A, b)
+        blocks = [form.form] + ([form.form[: form.k, : form.k + 1]] if 0 < form.k < form.n else [])
+        for C in blocks:
+            modes, lower = verify._modes(C)
+            if C is form.form:
+                cleared = np.mean(lower > form.tol)
+            pick = rng.permutation(modes.size)[:sample]
+            assert (lower[pick] <= pencil_sigma_min(C, modes[pick])).all()
+            near = modes[pick] + form.tol * rng.normal(size=pick.size)
+            far = modes[pick] + 1e-3 * (rng.normal(size=pick.size) + 1j * rng.normal(size=pick.size))
+            spectrum = np.linalg.eigvals(A)[pick] * form.scale if C is form.form else near
+            for shifts in (near, far, spectrum):
+                extended = verify._extend(lower, modes, shifts)
+                assert (extended <= pencil_sigma_min(C, shifts)).all()
+        return cleared, form.k
+
+    def test_dense_and_sparse(self):
+        rng = np.random.default_rng(430)
+        for n in (5, 20, 60):
+            A = random_simple_matrix(rng, n)
+            for b in (rng.normal(size=n), rng.normal(size=n) * (rng.random(n) < 0.3)):
+                self.check_sound(A, b, rng)
+        cleared = []
+        for n in (20, 100, 200):
+            cleared.append(self.check_sound(sparse_system(rng, n), rng.normal(size=n), rng)[0])
+        # on sparse systems with a dense b the bound clears nearly every mode
+        assert min(cleared) > 0.9
+
+    def test_complex_matrices(self):
+        rng = np.random.default_rng(431)
+        for n in (4, 12, 30):
+            A = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+            b = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert self.check_sound(A, b, rng)[0] > 0.5
+
+    def test_partly_and_wholly_unreachable(self):
+        # Block-triangular pairs with reachable dimension k < n under a
+        # dense unitary similarity, down to b = 0 (k = 0).
+        rng = np.random.default_rng(432)
+        seen = set()
+        for trial in range(16):
+            n = 4 + trial % 5
+            k = trial % n
+            A = rng.uniform(-1, 1, (n, n)) + (trial % 2) * 1j * rng.uniform(-1, 1, (n, n))
+            b = np.zeros(n, dtype=A.dtype)
+            b[:k] = rng.uniform(-1, 1, k)
+            A[k:, :k] = 0
+            Q = unitary(rng, n, trial % 2 == 1)
+            seen.add(self.check_sound(Q @ A @ Q.conj().T, Q @ b, rng)[1])
+        assert 0 in seen and any(0 < k < 8 for k in seen)
+
+    @pytest.mark.parametrize("last", [True, False])
+    def test_defective_jordan_block(self, monkeypatch, last):
+        # A Jordan block, rotated: the computed left eigenvectors are nearly
+        # parallel, so the bound stays at or below delta and the SVDs
+        # decide. With b on the last coordinate the pair is controllable;
+        # on the first, b reaches one dimension, and the PBH rank at the
+        # exact eigenvalue 2 is n - 1.
+        rng = np.random.default_rng(433)
+        n = 4
+        Q = unitary(rng, n, False)
+        A = Q @ (2 * np.eye(n) + np.eye(n, k=1)) @ Q.T
+        b = Q @ np.eye(n)[n - 1 if last else 0]
+        form = verify.staircase(A, b)
+        modes, lower = verify._modes(form.form)
+        assert (lower <= form.tol).all()
+        calls = spy_pencil_svds(monkeypatch)
+        kalman = kalman_test(A, b)
+        ranks = pbh_eigenvalue_test(A, b, np.full(n, 2.0)).ranks
+        monkeypatch.undo()
+        assert kalman == KalmanResult(controllable=last, rank=n if last else 1)
+        assert ranks == ((n,) * n if last else (n - 1,) * n)
+        assert sum(calls) >= n
 
 
 class TestStaircase:
@@ -776,9 +835,15 @@ class TestCertificationFamily:
             report = check_ranked_once(monkeypatch, A, solution.vector, left_eigenbasis(A))
             assert report == solution.certificate
 
-    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8, 1e12, 1e50, 1e150])
+    @pytest.mark.parametrize(
+        "c", [1e-14, 1e-12, 1e-10, 1e-8, 1e-4, 1e4, 1e8, 1e12, 1e50, 1e150, 1e200, 1e250, 1e300]
+    )
     def test_scaled_golden(self, golden_a, c):
         assert self.check(c * golden_a, "exact").support == (2, 3, 4)
+
+    def test_huge_dense_matrix(self):
+        A = 1e200 * random_simple_matrix(np.random.default_rng(424), 6)
+        assert self.check(A, "exact").support == (1,)
 
     def test_svd_count_does_not_grow_with_n(self, monkeypatch):
         # Two SVDs whatever n, one for ||A||_2 in the residual check and one
