@@ -5,11 +5,13 @@ incidence, whose rows are the eigenvector patterns and whose column i is
 the set-cover instance's set i (the eigenvectors that are nonzero at
 position i), solve the cover on its bitmasks, and realize a
 numerical input vector on the chosen support that is non-orthogonal to
-every eigenvector. One orthogonal staircase reduction of (A, b)
-certifies the result (``verify.staircase``): the Kalman rank and every
-PBH-eigenvalue rank come from pencils of that one form, each cleared by
-the eigenbasis's lower bound on its smallest singular value or ranked
-by one SVD.
+every eigenvector. The eigenbasis certifies the result
+(``verify.verification_report``): when its lower bound on the distance
+of (A, b) to uncontrollability clears the rank threshold, the Kalman
+rank and every PBH-eigenvalue rank are full. Otherwise one orthogonal
+staircase reduction of (A, b) (``verify.staircase``) gives them from
+pencils of that one form, each cleared by the eigenbasis's lower bound
+on its smallest singular value or ranked by one SVD.
 """
 from __future__ import annotations
 
@@ -320,9 +322,11 @@ def solve_mcp(
     Accepts the matrix, a precomputed left-eigenbasis, or both (the
     basis is then validated against the matrix). ``mode`` selects the
     exact or the greedy cover solver. The certificate of record is the
-    Kalman rank whenever the matrix is available, read off one staircase
-    reduction that also gives the PBH-eigenvalue ranks (an SVD only for
-    a pencil the eigenbasis bound does not clear); the eigenvector
+    Kalman rank whenever the matrix is available: full when the
+    eigenbasis bounds the pair's distance to uncontrollability above the
+    rank threshold, else read off one staircase reduction that also
+    gives the PBH-eigenvalue ranks (an SVD only for a pencil the
+    eigenbasis bound does not clear); the eigenvector
     non-orthogonality test otherwise. Raises VerificationFailed (with
     the offending solution attached) when the certificate does not
     confirm controllability under the configured tolerances.

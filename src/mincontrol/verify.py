@@ -1,4 +1,4 @@
-"""Controllability certification from one orthogonal staircase reduction.
+"""Controllability certification from the eigenbasis, or one orthogonal staircase reduction.
 
 ``staircase`` reduces (A, b) to controller-Hessenberg form once, in
 O(n^3): b goes to beta e1 and A to an upper Hessenberg H by unitary
@@ -10,17 +10,27 @@ the Kalman rank follows from the pencils of its reachable block; that
 is the certificate of record. Every rank follows one rule (``_ranks``):
 a pencil has full rank when a rigorous lower bound on its smallest
 singular value exceeds delta, and otherwise one SVD decides. The bounds
-come from a left eigenbasis (``_lower_bound``; Eising, "Between
-controllable and uncontrollable", Systems & Control Letters 4, 1984):
-the basis of A when one is at hand (every ``solve_mcp`` run), else the
-form's own, from one ``eig`` (``_modes``). A bound at one shift serves
-any other less their distance, since sigma_min is 1-Lipschitz in the
-shift (``_extend``). So only the pencils where b is nearly orthogonal
-to a left eigenvector, two eigenvalues nearly coincide or the matrix is
-nearly defective take an SVD. The PBH eigenvector test needs the
-eigenbasis instead. All verdicts depend on tolerances, which the report
-always embeds; when the tests disagree the report says so instead of
-silently reconciling them.
+come from a left eigenbasis (``_lower_bound``): the basis of A when one
+is at hand (every ``solve_mcp`` run), else A's own, from one ``eig``
+(``_modes``). A bound at one shift serves any other less their
+distance, since sigma_min is 1-Lipschitz in the shift (``_extend``).
+
+The same pass bounds the pair's distance to uncontrollability, the
+minimum of sigma_min([b | A - mu I]) over every complex mu (Eising,
+"Between controllable and uncontrollable", Systems & Control Letters 4,
+1984): any mu lies at least half as far from every eigenvalue as that
+eigenvalue lies from the one nearest mu, so the bound at the nearest
+eigenvalue, with every squared gap divided by 4, holds at mu. When that
+bound, less the reduction's backward error, exceeds delta, every rank
+is full and the reduction never runs: a |beta| or subdiagonal at or
+below delta would put the pair within that distance of an
+uncontrollable one. So only pairs where b is nearly orthogonal to
+a left eigenvector, two eigenvalues nearly coincide or the matrix is
+nearly defective are reduced, and only their pencils the bounds do not
+clear take an SVD. The PBH eigenvector test needs the eigenbasis
+instead. All verdicts depend on tolerances, which the report always
+embeds; when the tests disagree the report says so instead of silently
+reconciling them.
 """
 from __future__ import annotations
 
@@ -128,6 +138,31 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex]:
     return v, -phase * norm
 
 
+def _scaled_pair(A, b, rank_tol: float | None) -> tuple[np.ndarray, float, float, float]:
+    """[t b | s A], s, delta and the reduction's backward error, for ``staircase``.
+
+    s and t are the powers of two that bring the largest real or imaginary
+    part of A and of b into [1/2, 1); the array is float64 when A and b
+    have zero imaginary parts, complex otherwise. delta = rank_tol *
+    ||sA||_F (4 n eps ||sA||_F for ``rank_tol=None``); the backward error
+    is half the default delta, whatever ``rank_tol`` is. Every caller
+    takes these values from here, so they agree to the bit.
+    """
+    A = as_square_matrix(A)
+    n = A.shape[0]
+    b = as_vector(b, n)
+    if not (A.imag.any() or b.imag.any()):
+        A, b = A.real, b.real
+    scale = power_of_two_scale(A)
+    C = np.empty((n, n + 1), dtype=A.dtype)
+    C[:, 0] = b * power_of_two_scale(b)
+    C[:, 1:] = A * scale
+    eps = np.finfo(float).eps
+    norm = np.linalg.norm(C[:, 1:])
+    tol = float((4 * n * eps if rank_tol is None else rank_tol) * norm)
+    return C, scale, tol, float(2 * n * eps * norm)
+
+
 def staircase(A, b, rank_tol: float | None = None) -> Staircase:
     """Reduce (A, b) to controller-Hessenberg form with Householder reflectors.
 
@@ -164,17 +199,8 @@ def staircase(A, b, rank_tol: float | None = None) -> Staircase:
     that column's nonzero coordinates: an exact zero pattern that makes
     the pair uncontrollable survives the reduction as an exact zero.
     """
-    A = as_square_matrix(A)
-    n = A.shape[0]
-    b = as_vector(b, n)
-    if not (A.imag.any() or b.imag.any()):
-        A, b = A.real, b.real
-    scale = power_of_two_scale(A)
-    C = np.empty((n, n + 1), dtype=A.dtype)
-    C[:, 0] = b * power_of_two_scale(b)
-    C[:, 1:] = A * scale
-    eps = np.finfo(float).eps
-    tol = float((4 * n * eps if rank_tol is None else rank_tol) * np.linalg.norm(C[:, 1:]))
+    C, scale, tol, _ = _scaled_pair(A, b, rank_tol)
+    n = C.shape[0]
     k = n
     for j in range(n):
         # x: t b (j = 0), then column j of H on coordinates j..n-1
@@ -203,23 +229,33 @@ def _decide(f, *args, **kwargs):
         raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
 
 
-def _lower_bound(M: np.ndarray, v: np.ndarray, U: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Lower bounds on sigma_min([v | M - mu_j I]) at every eigenvalue mu_j of M.
+def _lower_bound(
+    M: np.ndarray, v: np.ndarray, U: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Lower bounds on sigma_min([v | M - nu I]) at every eigenvalue mu_j
+    of M, and one that holds at every complex nu.
 
     U holds left eigenvectors of M as rows (u_j M ~ mu_j u_j), in any
     scaling. With its rows normalized, E = UM - diag(mu) U and w = Uv,
-    writing a left singular vector as y = aU gives ||y P_j||^2 >=
-    (sigma_min(U) ||a (diag(mu) - mu_j I)|| - ||a|| ||E||)^2 + |a w|^2
-    with ||y|| <= sigma_max(U) ||a||. The smallest eigenvalue of the
-    diagonal-plus-rank-one matrix sigma_min(U)^2 |diag(mu) - mu_j I|^2
-    + w w^H is at least l_j = min(min_i d_i / 2, |w_j|^2 / (1 + 2
-    sum_i |w_i|^2 / d_i)), i != j, d_i = sigma_min(U)^2 |mu_i - mu_j|^2,
-    from its secular equation; so sigma_min(P_j) >= (sqrt(l_j) - ||E||)
-    / sigma_max(U). It holds for any U: inaccurate pairs only make ||E||
-    larger, and nearly parallel rows (M defective or nearly so) make
-    sigma_min(U), and the bound with it, small. One SVD of U serves every
-    shift. ||E||, the singular values of U and w carry a rounding slack
-    (as in ``check_residuals``), and the bound is 0 wherever a value is
+    writing a left singular vector as y = aU gives ||y P(nu)||^2 >=
+    (sigma_min(U) ||a (diag(mu) - nu I)|| - ||a|| ||E||)^2 + |a w|^2
+    with ||y|| <= sigma_max(U) ||a||. At nu = mu_j, the smallest
+    eigenvalue of the diagonal-plus-rank-one matrix sigma_min(U)^2
+    |diag(mu) - mu_j I|^2 + w w^H is at least l_j = min(min_i d_i / 2,
+    |w_j|^2 / (1 + 2 sum_i |w_i|^2 / d_i)), i != j, d_i = sigma_min(U)^2
+    |mu_i - mu_j|^2, from its secular equation; so sigma_min(P(mu_j)) >=
+    (sqrt(l_j) - ||E||) / sigma_max(U). Any other nu has a nearest
+    eigenvalue mu_j, and |mu_i - nu| >= |mu_i - mu_j| / 2 for i != j, so
+    the same bound with every d_i divided by 4 holds at nu; its minimum
+    over j bounds the distance to uncontrollability of (M, v), the
+    minimum of sigma_min(P(nu)) over the plane (Eising, "Between
+    controllable and uncontrollable", Systems & Control Letters 4, 1984).
+
+    It holds for any U: inaccurate pairs only make ||E|| larger, and
+    nearly parallel rows (M defective or nearly so) make sigma_min(U),
+    and the bound with it, small. One SVD of U serves every shift and the
+    plane. ||E||, the singular values of U and w carry a rounding slack
+    (as in ``check_residuals``), and a bound is 0 wherever a value is
     not finite. The arithmetic is real when U, M and mu are.
     """
     n = M.shape[0]
@@ -234,7 +270,7 @@ def _lower_bound(M: np.ndarray, v: np.ndarray, U: np.ndarray, mu: np.ndarray) ->
         try:
             sigma = np.linalg.svd(U, compute_uv=False)
         except np.linalg.LinAlgError:
-            return np.zeros(n)
+            return np.zeros(n), 0.0
         low = max(sigma[-1] - u * frobenius, 0.0) * (1 - u)
         high = sigma[0] + u * frobenius
         muU = mu[:, None] * U
@@ -244,18 +280,25 @@ def _lower_bound(M: np.ndarray, v: np.ndarray, U: np.ndarray, mu: np.ndarray) ->
         gaps = (low * np.abs(mu[:, None] - mu)) ** 2
         np.fill_diagonal(gaps, np.inf)
         secular = ((w + werr) ** 2) @ (1 / gaps)
-        ell = np.minimum(gaps.min(axis=0) / 2, np.maximum(w - werr, 0) ** 2 / (1 + 2 * secular))
+        nearest, reach = gaps.min(axis=0), np.maximum(w - werr, 0) ** 2
+        ell = np.minimum(nearest / 2, reach / (1 + 2 * secular))
+        plane = np.minimum(nearest / 8, reach / (1 + 8 * secular)).min()
         bound = (np.sqrt(ell) * (1 - u) - residual) / high
-    return np.where(np.isfinite(bound) & np.isfinite(mu), bound, 0.0)
+        whole = (np.sqrt(plane) * (1 - u) - residual) / high
+    finite = np.isfinite(mu)
+    whole = float(whole) if np.isfinite(whole) and finite.all() else 0.0
+    return np.where(np.isfinite(bound) & finite, bound, 0.0), whole
 
 
-def _modes(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues mu of H = C[:, 1:] and ``_lower_bound``s on
-    sigma_min([C[:, 0] | H - mu I]) from H's own left eigenvectors, all
-    from one ``eig`` of H^T (whose right eigenvectors are H's left ones)."""
+def _modes(C: np.ndarray, backward: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """The eigenvalues mu of H = C[:, 1:], and ``_lower_bound``'s bounds on
+    sigma_min([C[:, 0] | H - nu I]) at each mu and over the plane, less
+    ``backward``, all from one ``eig`` of H^T (whose right eigenvectors
+    are H's left ones)."""
     H = C[:, 1:]
     modes, Z = _decide(np.linalg.eig, H.T)
-    return modes, _lower_bound(H, C[:, 0], Z.T, modes)
+    lower, whole = _lower_bound(H, C[:, 0], Z.T, modes)
+    return modes, lower - backward, whole - backward
 
 
 def _extend(lower: np.ndarray, shifts: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -295,7 +338,7 @@ def _ranks(
 
 
 def _kalman(
-    form: Staircase, shifts: np.ndarray | None = None, lower: np.ndarray | None = None
+    form: Staircase, modes: np.ndarray | None = None, lower: np.ndarray | None = None
 ) -> KalmanResult:
     """Rank of [b, Ab, ..., A^(n-1) b]: k less the unreachable modes of H11.
 
@@ -307,38 +350,34 @@ def _kalman(
     of an uncontrollable one with no small subdiagonal (Paige 1981), so k
     alone would overstate the rank.
 
-    ``lower`` bounds sigma_min of the pencils of the whole form from
-    below at ``shifts``. When those are given and k = n, the modes are
-    the eigenvalues of H and take their bounds from the shifts
-    (``_extend``); otherwise the modes and their bounds come from H11's
-    own left eigenvectors (``_modes``).
+    ``modes``, when given, are computed eigenvalues of H, and ``lower``
+    bounds sigma_min of the form's pencils at them from below; they serve
+    when k = n. Otherwise the modes and their bounds come from H11's own
+    left eigenvectors (``_modes``).
     """
     k = form.k
     if not k:
         return KalmanResult(controllable=False, rank=0)
     C = form.form[:k, : k + 1]
-    if shifts is not None and k == form.n:
-        modes = _decide(np.linalg.eigvals, C[:, 1:])
-        lower = _extend(lower, shifts, modes)
-    else:
-        modes, lower = _modes(C)
+    if modes is None or k < form.n:
+        modes, lower, _ = _modes(C)
     rank = k - int(np.sum(_ranks(C, modes, lower, form.tol)[0] < k))
     return KalmanResult(controllable=rank == form.n, rank=rank)
 
 
-def _scaled_eigenvalues(form: Staircase, eigenvalues) -> np.ndarray:
+def _scaled_eigenvalues(scale: float, eigenvalues) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=complex).ravel()
     if lam.size == 0:
         raise DimensionMismatch("eigenvalue sequence must be nonempty")
     if not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite")
     with np.errstate(over="ignore"):
-        return lam * form.scale
+        return lam * scale
 
 
-def _pbh_eigenvalue(form: Staircase, ranks: np.ndarray) -> PbhEigenvalueResult:
+def _pbh_eigenvalue(n: int, ranks: np.ndarray) -> PbhEigenvalueResult:
     ranks = tuple(int(r) for r in ranks)
-    return PbhEigenvalueResult(controllable=all(r == form.n for r in ranks), ranks=ranks)
+    return PbhEigenvalueResult(controllable=all(r == n for r in ranks), ranks=ranks)
 
 
 def pbh_eigenvalue_test(
@@ -349,16 +388,22 @@ def pbh_eigenvalue_test(
     Checking the spectrum suffices: for any other lambda the first block
     alone already has full rank. Each rank is that of the unitarily
     equivalent pencil [beta e1 | H - s lambda I] of one ``staircase``
-    reduction (b scaled by t instead of s). The pencils at H's own
-    eigenvalues are bounded from below by H's left eigenvectors
-    (``_modes``), and those bounds extend to the supplied eigenvalues
-    (``_extend``); see ``_ranks`` for the rule.
+    reduction (b scaled by t instead of s). One ``eig`` of sA gives its
+    modes and left eigenvectors (``_modes``), which bound sigma_min of
+    the scaled pair's pencils from below at every mode and over the whole
+    plane, less the reduction's backward error. When the whole-plane
+    bound exceeds delta every rank is n, and no reduction runs (see
+    ``verification_report``); otherwise the bounds at the modes extend to
+    the supplied eigenvalues (``_extend``), and ``_ranks`` decides.
     """
+    C, scale, tol, backward = _scaled_pair(A, b, rank_tol)
+    n = C.shape[0]
+    shifts = _scaled_eigenvalues(scale, eigenvalues)
+    modes, lower, whole = _modes(C, backward)
+    if whole > tol:
+        return _pbh_eigenvalue(n, np.full(shifts.size, n))
     form = staircase(A, b, rank_tol)
-    shifts = _scaled_eigenvalues(form, eigenvalues)
-    modes, lower = _modes(form.form)
-    ranks = _ranks(form.form, shifts, _extend(lower, modes, shifts), form.tol)[0]
-    return _pbh_eigenvalue(form, ranks)
+    return _pbh_eigenvalue(n, _ranks(form.form, shifts, _extend(lower, modes, shifts), tol)[0])
 
 
 def pbh_eigenvector_test(
@@ -388,10 +433,19 @@ def kalman_test(A, b, rank_tol: float | None = None) -> KalmanResult:
     """Rank of [b, Ab, ..., A^(n-1) b], read off one ``staircase`` reduction.
 
     The Krylov matrix itself is never formed, so its powers cannot
-    overflow and its rank is not blurred by their growing scale. See
-    ``_kalman`` for the rule.
+    overflow and its rank is not blurred by their growing scale. One
+    ``eig`` of sA comes first (``_modes``): when its whole-plane bound,
+    less the reduction's backward error, exceeds delta, the rank is n and
+    no reduction runs (see ``verification_report``). Otherwise, when b
+    reaches the whole form (k = n), its eigenvalues serve as the modes of
+    H with their bounds, and a reachable block with k < n takes its own
+    (see ``_kalman``).
     """
-    return _kalman(staircase(A, b, rank_tol))
+    C, _, tol, backward = _scaled_pair(A, b, rank_tol)
+    modes, lower, whole = _modes(C, backward)
+    if whole > tol:
+        return KalmanResult(controllable=True, rank=C.shape[0])
+    return _kalman(staircase(A, b, rank_tol), modes, lower)
 
 
 def verification_report(
@@ -403,39 +457,54 @@ def verification_report(
 ) -> VerificationReport:
     """Run every test the available data permits and bundle the verdicts.
 
-    With a matrix, one ``staircase`` reduction gives both the Kalman
-    result and (with a basis) the PBH-eigenvalue ranks, the same values
-    ``kalman_test`` and ``pbh_eigenvalue_test`` give. The PBH shifts are
-    ranked first. The basis bounds sigma_min of every PBH pencil of the
-    scaled pair from below (``_lower_bound``); the form's pencils differ
-    from those by the reduction's backward error, at most delta / 2 for
-    the default delta (see ``staircase``), which is subtracted whatever
-    ``rank_tol`` is. When b reaches the whole form (k = n), the Kalman
-    modes are a second computed copy of the same spectrum, and their
-    pencils take their bounds from the shifts' (see ``_kalman``), the
-    sigma_min of a PBH pencil that took an SVD included. So a certified
-    pair ranks only the pencils the basis cannot clear: those where b is
-    nearly orthogonal to a left eigenvector, or two eigenvalues nearly
-    coincide.
+    With a matrix and a basis, one pass gives both the Kalman result and
+    the PBH-eigenvalue ranks, the same values ``kalman_test`` and
+    ``pbh_eigenvalue_test`` give; with a matrix alone, ``kalman_test``
+    runs. The basis bounds sigma_min of the scaled pair's pencils from
+    below (``_lower_bound``), at every PBH shift and over the whole
+    plane; the form's pencils differ from those by the reduction's
+    backward error, at most delta / 2 for the default delta (see
+    ``staircase``), which is subtracted whatever ``rank_tol`` is.
+
+    When the whole-plane bound, so lowered, exceeds delta, every PBH rank
+    is n and so is the Kalman rank, and neither the reduction nor any
+    pencil SVD runs. The report is the one the reduction would give.
+    Every pencil of the form, at any complex mu, has sigma_min above
+    delta. A |beta| or subdiagonal at or below delta, set to zero, would
+    leave an uncontrollable form within delta, singular at some mu; so
+    k = n, and every PBH shift and Kalman mode has full rank.
+
+    Otherwise ``staircase`` runs, and the PBH shifts are ranked first
+    (``_ranks``). When b reaches the whole form (k = n), the Kalman modes
+    are a second computed copy of the same spectrum, and their pencils
+    take their bounds from the shifts' (``_extend``), the sigma_min of a
+    PBH pencil that took an SVD included. So a pair ranks only the
+    pencils the basis cannot clear: those where b is nearly orthogonal to
+    a left eigenvector, or two eigenvalues nearly coincide.
     """
     if A is None and basis is None:
         raise ValueError("verification needs a matrix, an eigenbasis, or both")
     pbh_vec = pbh_eigenvector_test(basis, b, tau) if basis is not None else None
     kalman = pbh_val = None
-    if A is not None:
-        form = staircase(A, b, rank_tol)
-        shifts = lower = None
-        if basis is not None:
-            shifts = _scaled_eigenvalues(form, basis.eigenvalues)
-            sA = as_square_matrix(A) * form.scale
-            tb = as_vector(b, form.n)
-            tb = tb * power_of_two_scale(tb)
-            # delta / 2 for the default delta = 4 n eps ||H||_F
-            backward = 2 * form.n * np.finfo(float).eps * np.linalg.norm(form.form[:, 1:])
-            lower = _lower_bound(sA, tb, basis.vectors.conj(), shifts) - backward
-            ranks, lower = _ranks(form.form, shifts, lower, form.tol)
-            pbh_val = _pbh_eigenvalue(form, ranks)
-        kalman = _kalman(form, shifts, lower)
+    if A is not None and basis is None:
+        kalman = kalman_test(A, b, rank_tol)
+    elif A is not None:
+        C, scale, tol, backward = _scaled_pair(A, b, rank_tol)
+        n = C.shape[0]
+        shifts = _scaled_eigenvalues(scale, basis.eigenvalues)
+        lower, whole = _lower_bound(C[:, 1:], C[:, 0], basis.vectors.conj(), shifts)
+        if whole - backward > tol:
+            pbh_val = _pbh_eigenvalue(n, np.full(shifts.size, n))
+            kalman = KalmanResult(controllable=True, rank=n)
+        else:
+            form = staircase(A, b, rank_tol)
+            ranks, lower = _ranks(form.form, shifts, lower - backward, tol)
+            pbh_val = _pbh_eigenvalue(n, ranks)
+            modes = None
+            if form.k == n:
+                modes = _decide(np.linalg.eigvals, form.form[:, 1:])
+                lower = _extend(lower, shifts, modes)
+            kalman = _kalman(form, modes, lower)
     return VerificationReport(
         pbh_eigenvalue=pbh_val,
         pbh_eigenvector=pbh_vec,

@@ -119,6 +119,20 @@ def spy_pencil_svds(monkeypatch):
     return calls
 
 
+def spy_staircase(monkeypatch):
+    """Spy on the staircase reductions: the list holds each one's k."""
+    calls = []
+    staircase = verify.staircase
+
+    def spy(*args, **kwargs):
+        form = staircase(*args, **kwargs)
+        calls.append(form.k)
+        return form
+
+    monkeypatch.setattr(verify, "staircase", spy)
+    return calls
+
+
 def check_ranked_once(monkeypatch, A, b, basis):
     """``verification_report`` gives the stand-alone tests' results, and on
     a k = n pair takes at most n pencil SVDs plus one per deficient PBH
@@ -243,11 +257,18 @@ class TestPbhRanksAgainstComplexReference:
         ],
     )
     def test_arithmetic_follows_the_values(self, monkeypatch, A, b, eigenvalues, dtypes):
-        # dtypes: the arithmetic of the staircase reduction and of each
-        # pencil SVD that settles a rank the bound could not (only where a
-        # pencil is rank deficient).
-        reductions, ranked = [], []
-        staircase, svd = verify.staircase, np.linalg.svd
+        # dtypes: the arithmetic of the scaled pair (the bound's and the
+        # staircase reduction's) and of each pencil SVD that settles a rank
+        # the bound could not (only where a pencil is rank deficient). The
+        # reduction runs only there: elsewhere the whole-plane bound clears
+        # the pair.
+        pairs, reductions, ranked = [], [], []
+        scaled_pair, staircase, svd = verify._scaled_pair, verify.staircase, np.linalg.svd
+
+        def scaled_pair_spy(*args):
+            pair = scaled_pair(*args)
+            pairs.append(pair[0].dtype.name)
+            return pair
 
         def staircase_spy(*args, **kwargs):
             form = staircase(*args, **kwargs)
@@ -259,10 +280,12 @@ class TestPbhRanksAgainstComplexReference:
                 ranked.append(X.dtype.name)
             return svd(X, *args, **kwargs)
 
+        monkeypatch.setattr(verify, "_scaled_pair", scaled_pair_spy)
         monkeypatch.setattr(verify, "staircase", staircase_spy)
         monkeypatch.setattr(np.linalg, "svd", svd_spy)
         pbh_eigenvalue_test(A, b, eigenvalues)
-        assert (reductions, ranked) == ([dtypes[0]], dtypes[1])
+        assert set(pairs) == {dtypes[0]}
+        assert (reductions, ranked) == ([dtypes[0]] if dtypes[1] else [], dtypes[1])
 
 
 class TestPbhEigenvector:
@@ -394,10 +417,11 @@ class TestVerificationReport:
 
     def test_inaccurate_basis_modes_clear_by_extension(self, monkeypatch):
         # Eigenvalues moved by about 10 delta still pass the residual check.
-        # The basis bound counts the move in ||E|| and still clears every
-        # PBH shift by far more than 10 delta, so every Kalman mode, 10
-        # delta from its shift, clears too: no pencil takes an SVD, and the
-        # results are those of the stand-alone tests.
+        # The basis bound counts the move in ||E|| and still clears the
+        # whole plane, so no reduction runs. With the whole-plane bound
+        # withheld it clears every PBH shift by far more than 10 delta, so
+        # every Kalman mode, 10 delta from its shift, clears too: no pencil
+        # takes an SVD. Both give the results of the stand-alone tests.
         rng = np.random.default_rng(409)
         A = real_spectrum_matrix(rng, 8)
         b = rng.normal(size=8)
@@ -406,10 +430,15 @@ class TestVerificationReport:
         moved = computed.eigenvalues + 10 * form.tol / form.scale
         basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
         assert form.k == 8 and not moved.imag.any()
+        reductions = spy_staircase(monkeypatch)
+        gated = verification_report(b, A=A, basis=basis)
+        assert reductions == []
+        lower_bound = verify._lower_bound
+        monkeypatch.setattr(verify, "_lower_bound", lambda *args: (lower_bound(*args)[0], 0.0))
         calls = spy_pencil_svds(monkeypatch)
         report = verification_report(b, A=A, basis=basis)
         monkeypatch.undo()
-        assert calls == [0, 0]
+        assert calls == [0, 0] and report == gated
         assert report.kalman == kalman_test(A, b) == KalmanResult(controllable=True, rank=8)
         assert report.pbh_eigenvalue.controllable
         assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, moved)
@@ -445,17 +474,30 @@ def scaled_pencil_sigma_min(A, b, form, eigenvalues):
 
 
 def basis_bound(A, b, basis, rank_tol=None):
-    """``_lower_bound`` of the scaled pair [t b | sA - s lambda_j I] at the
-    basis eigenvalues, as ``verification_report`` takes it, with the form."""
+    """``_lower_bound`` of the scaled pair [t b | sA - s lambda I] at the
+    basis eigenvalues and over the plane, as ``verification_report`` takes
+    it, with the form."""
     form = verify.staircase(A, b, rank_tol)
-    shifts = verify._scaled_eigenvalues(form, basis.eigenvalues)
+    shifts = verify._scaled_eigenvalues(form.scale, basis.eigenvalues)
     b = np.asarray(b, dtype=complex)
     sA, tb = np.asarray(A, dtype=complex) * form.scale, b * verify.power_of_two_scale(b)
-    return verify._lower_bound(sA, tb, basis.vectors.conj(), shifts), form
+    return (*verify._lower_bound(sA, tb, basis.vectors.conj(), shifts), form)
 
 
 def zero_bound(M, v, U, mu):
-    return np.zeros(mu.size)
+    return np.zeros(mu.size), 0.0
+
+
+def plane_samples(rng, eigenvalues, count=24):
+    """Eigenvalues, midpoints of random pairs of them and uniform points
+    of their bounding box, widened by a tenth of the largest modulus:
+    where the smallest sigma_min over the plane may lie."""
+    lam = np.asarray(eigenvalues, dtype=complex)
+    pad = np.abs(lam).max() / 10
+    i, j = rng.integers(lam.size, size=(2, count))
+    re = rng.uniform(lam.real.min() - pad, lam.real.max() + pad, count)
+    im = rng.uniform(lam.imag.min() - pad, lam.imag.max() + pad, count)
+    return np.concatenate([lam, (lam[i] + lam[j]) / 2, re + 1j * im])
 
 
 class TestBasisBound:
@@ -463,11 +505,15 @@ class TestBasisBound:
 
     @staticmethod
     def check_sound(A, b, basis, rank_tol=None):
-        """The bound never exceeds the SVD's sigma_min; returns the share of
-        shifts it clears (bound above 2 delta)."""
-        bound, form = basis_bound(A, b, basis, rank_tol)
+        """Neither the bound at the shifts nor the whole-plane bound exceeds
+        the SVD's sigma_min, the latter at the eigenvalues and at sampled
+        points of the plane; returns the share of shifts the bound clears
+        (above 2 delta)."""
+        bound, whole, form = basis_bound(A, b, basis, rank_tol)
         sigma = scaled_pencil_sigma_min(A, b, form, basis.eigenvalues)
-        assert (bound <= sigma).all()
+        assert (bound <= sigma).all() and whole <= bound.min()
+        points = plane_samples(np.random.default_rng(len(b)), basis.eigenvalues, 12)[len(b) :]
+        assert whole <= scaled_pencil_sigma_min(A, b, form, points).min()
         return np.mean(bound > 2 * form.tol)
 
     def test_dense_and_sparse(self):
@@ -567,21 +613,23 @@ class TestBasisBound:
         ):
             b = np.ones(len(A))
             with np.errstate(over="raise", invalid="raise"):
-                bound, form = basis_bound(A, b, basis)
+                bound, whole, form = basis_bound(A, b, basis)
                 report = verification_report(b, A=A, basis=basis)
             sigma = scaled_pencil_sigma_min(A, b, form, basis.eigenvalues)
             assert (bound <= sigma).all() and (bound > 2 * form.tol).all()
+            assert 2 * form.tol < whole <= bound.min()
             assert report.controllable and report.consistent
 
     def test_orthogonal_eigenvector_falls_through(self, golden_a, integer_basis):
         # e2 is orthogonal to three left eigenvectors of the golden system:
         # w_j = 0 there, so those shifts go to the pencil ranks.
         b = np.eye(5)[1]
-        bound, form = basis_bound(golden_a, b, integer_basis)
+        bound, whole, form = basis_bound(golden_a, b, integer_basis)
         orthogonal = integer_basis.vectors @ b == 0
         assert orthogonal.sum() == 3
         assert (bound[orthogonal] <= 2 * form.tol).all()
         assert (bound[~orthogonal] > 2 * form.tol).all()
+        assert whole <= 2 * form.tol
         report = verification_report(b, A=golden_a, basis=integer_basis)
         assert report.pbh_eigenvalue == pbh_eigenvalue_test(golden_a, b, GOLDEN_EIGENVALUES)
         assert sum(r < 5 for r in report.pbh_eigenvalue.ranks) == 3
@@ -594,15 +642,17 @@ class TestBasisBound:
         A = np.diag([1.0, 1.0 + 4e-15, 3.0])
         basis = LeftEigenbasis.from_pairs(np.diag(A), np.eye(3), A=A, gap_tol=1e-16)
         for b in (np.ones(3), np.array([0.0, 1.0, 1.0])):
-            bound, form = basis_bound(A, b, basis)
+            bound, whole, form = basis_bound(A, b, basis)
             assert (bound[:2] <= 2 * form.tol).all() and bound[2] > 2 * form.tol
+            assert whole <= 2 * form.tol
             self.check_sound(A, b, basis)
             report = verification_report(b, A=A, basis=basis)
             assert report.pbh_eigenvalue == pbh_eigenvalue_test(A, b, np.diag(A))
 
     def test_zero_bound_changes_no_result(self, monkeypatch, golden_a, integer_basis):
-        # With every bound at zero every pencil takes an SVD: the report
-        # (ranks, Kalman result, verdicts) is the same.
+        # With every bound at zero no pair passes the gate and every pencil
+        # takes an SVD: the report (ranks, Kalman result, verdicts) is the
+        # same, and so are the stand-alone tests' results.
         rng = np.random.default_rng(425)
         cases = [(golden_a, B_WORKED, integer_basis), (golden_a, np.eye(5)[1], integer_basis)]
         for n in (10, 40, 100):
@@ -612,14 +662,53 @@ class TestBasisBound:
             cases.append((A, rng.normal(size=n // 2) * (rng.random(n // 2) < 0.5), left_eigenbasis(A)))
         for A, b, lam in TestPbhRanksAgainstComplexReference().cases():
             cases.append((A, b, left_eigenbasis(A)))
-        deficient = 0
+        deficient = gated = 0
         for A, b, basis in cases:
-            report = verification_report(b, A=A, basis=basis)
+            reductions = spy_staircase(monkeypatch)
+            results = (
+                verification_report(b, A=A, basis=basis),
+                kalman_test(A, b),
+                pbh_eigenvalue_test(A, b, basis.eigenvalues),
+            )
+            gated += not reductions
             monkeypatch.setattr(verify, "_lower_bound", zero_bound)
-            assert verification_report(b, A=A, basis=basis) == report
+            assert (
+                verification_report(b, A=A, basis=basis),
+                kalman_test(A, b),
+                pbh_eigenvalue_test(A, b, basis.eigenvalues),
+            ) == results
             monkeypatch.undo()
-            deficient += not report.pbh_eigenvalue.controllable
-        assert deficient
+            deficient += not results[0].pbh_eigenvalue.controllable
+        assert deficient and gated
+
+    @staticmethod
+    def stubbed_report(monkeypatch, factor, rank_tol, plane):
+        """A k = n pair's report with every basis bound stubbed at factor *
+        delta, at the shifts and (``plane``) over the plane; the stand-alone
+        tests give the same results. Returns the staircase reductions and
+        the pencil SVDs of the report, and the reductions of the stand-alone
+        tests. The eigenvalues are moved by delta / 2."""
+        rng = np.random.default_rng(426)
+        A = real_spectrum_matrix(rng, 6)
+        b = rng.normal(size=6)
+        computed = left_eigenbasis(A)
+        default = verify.staircase(A, b)
+        moved = computed.eigenvalues + default.tol / 2 / default.scale
+        basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
+        bound = factor * verify.staircase(A, b, rank_tol).tol
+        monkeypatch.setattr(
+            verify, "_lower_bound", lambda *args: (np.full(6, bound), bound if plane else 0.0)
+        )
+        reductions = spy_staircase(monkeypatch)
+        calls = spy_pencil_svds(monkeypatch)
+        report = verification_report(b, A=A, basis=basis, rank_tol=rank_tol)
+        svds, reduced = list(calls), len(reductions)
+        assert default.k == 6
+        assert report.pbh_eigenvalue.ranks == (6,) * 6
+        assert report.kalman == KalmanResult(controllable=True, rank=6)
+        assert kalman_test(A, b, rank_tol) == report.kalman
+        assert pbh_eigenvalue_test(A, b, moved, rank_tol) == report.pbh_eigenvalue
+        return reduced, svds, len(reductions) - reduced
 
     @pytest.mark.parametrize(
         "factor, rank_tol, svds",
@@ -628,27 +717,27 @@ class TestBasisBound:
     def test_bound_clears_above_delta_and_extends_to_the_modes(
         self, monkeypatch, factor, rank_tol, svds
     ):
-        # With the basis bound stubbed at factor * delta, a PBH pencil in
-        # the form has sigma_min >= (factor - 1/2) delta, the default
-        # delta / 2 being the reduction's backward error whatever rank_tol
-        # is: it clears above delta. The eigenvalues are moved by delta / 2,
-        # so each Kalman mode takes that bound less delta / 2, or the
-        # sigma_min of its shift's SVD. svds: the pencil SVDs of the PBH
-        # shifts and of the modes.
-        rng = np.random.default_rng(426)
-        A = real_spectrum_matrix(rng, 6)
-        b = rng.normal(size=6)
-        computed = left_eigenbasis(A)
-        default = verify.staircase(A, b)
-        moved = computed.eigenvalues + default.tol / 2 / default.scale
-        basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
-        form = verify.staircase(A, b, rank_tol)
-        monkeypatch.setattr(verify, "_lower_bound", lambda *args: np.full(6, factor * form.tol))
-        calls = spy_pencil_svds(monkeypatch)
-        report = verification_report(b, A=A, basis=basis, rank_tol=rank_tol)
-        assert default.k == 6 and calls == svds
-        assert report.pbh_eigenvalue.ranks == (6,) * 6
-        assert report.kalman == KalmanResult(controllable=True, rank=6)
+        # With the basis bound stubbed at factor * delta (and none over the
+        # plane), a PBH pencil in the form has sigma_min >= (factor - 1/2)
+        # delta, the default delta / 2 being the reduction's backward error
+        # whatever rank_tol is: it clears above delta. Each Kalman mode
+        # takes that bound less delta / 2, or the sigma_min of its shift's
+        # SVD. svds: the pencil SVDs of the PBH shifts and of the modes.
+        reduced, calls, standalone = self.stubbed_report(monkeypatch, factor, rank_tol, False)
+        assert calls == svds and (reduced, standalone) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "factor, rank_tol, svds", [(1.4, None, [6, 0]), (1.6, None, []), (2.1, 1e-30, [6, 0])]
+    )
+    def test_whole_plane_bound_clears_above_three_halves_delta(
+        self, monkeypatch, factor, rank_tol, svds
+    ):
+        # The same bound over the whole plane passes the gate when it
+        # exceeds delta plus the default delta / 2: then nothing is reduced
+        # or ranked, by the report or by the stand-alone tests. Below that,
+        # each takes the path above.
+        reduced, calls, standalone = self.stubbed_report(monkeypatch, factor, rank_tol, True)
+        assert calls == svds and (reduced, standalone) == ((1, 2) if svds else (0, 0))
 
 
 def pencil_sigma_min(C, shifts):
@@ -665,24 +754,26 @@ class TestOwnBound:
     @staticmethod
     def check_sound(A, b, rng, sample=40):
         """On the whole form and on its reachable block, neither the own
-        bound at the modes nor its extension to nearby shifts exceeds the
-        SVD's sigma_min (at up to ``sample`` random modes and shifts of
-        each kind). Returns the share of modes of the whole form the bound
-        clears (above delta) and k."""
+        bound at the modes, nor its extension to nearby shifts, nor the
+        whole-plane bound exceeds the SVD's sigma_min (at up to ``sample``
+        random modes and shifts of each kind). Returns the share of modes
+        of the whole form the bound clears (above delta) and k."""
         form = verify.staircase(A, b)
         blocks = [form.form] + ([form.form[: form.k, : form.k + 1]] if 0 < form.k < form.n else [])
         for C in blocks:
-            modes, lower = verify._modes(C)
+            modes, lower, whole = verify._modes(C)
             if C is form.form:
                 cleared = np.mean(lower > form.tol)
             pick = rng.permutation(modes.size)[:sample]
             assert (lower[pick] <= pencil_sigma_min(C, modes[pick])).all()
+            assert whole <= lower.min()
             near = modes[pick] + form.tol * rng.normal(size=pick.size)
             far = modes[pick] + 1e-3 * (rng.normal(size=pick.size) + 1j * rng.normal(size=pick.size))
             spectrum = np.linalg.eigvals(A)[pick] * form.scale if C is form.form else near
             for shifts in (near, far, spectrum):
                 extended = verify._extend(lower, modes, shifts)
-                assert (extended <= pencil_sigma_min(C, shifts)).all()
+                sigma = pencil_sigma_min(C, shifts)
+                assert (extended <= sigma).all() and whole <= sigma.min()
         return cleared, form.k
 
     def test_dense_and_sparse(self):
@@ -723,25 +814,148 @@ class TestOwnBound:
     @pytest.mark.parametrize("last", [True, False])
     def test_defective_jordan_block(self, monkeypatch, last):
         # A Jordan block, rotated: the computed left eigenvectors are nearly
-        # parallel, so the bound stays at or below delta and the SVDs
-        # decide. With b on the last coordinate the pair is controllable;
-        # on the first, b reaches one dimension, and the PBH rank at the
-        # exact eigenvalue 2 is n - 1.
+        # parallel, so the bounds, at the modes and over the plane, stay at
+        # or below delta: the pair does not pass the gate, the reduction
+        # runs and the SVDs decide. With b on the last coordinate the pair
+        # is controllable; on the first, b reaches one dimension, and the
+        # PBH rank at the exact eigenvalue 2 is n - 1.
         rng = np.random.default_rng(433)
         n = 4
         Q = unitary(rng, n, False)
         A = Q @ (2 * np.eye(n) + np.eye(n, k=1)) @ Q.T
         b = Q @ np.eye(n)[n - 1 if last else 0]
         form = verify.staircase(A, b)
-        modes, lower = verify._modes(form.form)
-        assert (lower <= form.tol).all()
+        modes, lower, whole = verify._modes(form.form)
+        assert (lower <= form.tol).all() and whole <= form.tol
+        C, _, tol, backward = verify._scaled_pair(A, b, None)
+        assert verify._modes(C, backward)[2] <= tol
+        reductions = spy_staircase(monkeypatch)
         calls = spy_pencil_svds(monkeypatch)
         kalman = kalman_test(A, b)
         ranks = pbh_eigenvalue_test(A, b, np.full(n, 2.0)).ranks
         monkeypatch.undo()
         assert kalman == KalmanResult(controllable=last, rank=n if last else 1)
         assert ranks == ((n,) * n if last else (n - 1,) * n)
-        assert sum(calls) >= n
+        assert len(reductions) == 2 and sum(calls) >= n
+
+
+def plane_minimum(C, starts):
+    """The smallest sigma_min([C[:, 0] | C[:, 1:] - mu I]) that Nelder-Mead
+    finds from each start mu: local minima over the complex plane."""
+    from scipy.optimize import minimize
+
+    def f(x):
+        return pencil_sigma_min(C, [x[0] + 1j * x[1]])[0]
+
+    return min(
+        minimize(f, [mu.real, mu.imag], method="Nelder-Mead", options={"xatol": 1e-9}).fun
+        for mu in starts
+    )
+
+
+class TestWholePlaneGate:
+    """The bound over the whole plane, and the gate it opens."""
+
+    @staticmethod
+    def check_sound(A, b, rng, sample=8):
+        """The whole-plane bound of the scaled pair, from its own basis,
+        never exceeds sigma_min at the modes, at sampled points of the plane
+        or at the local minima refined from ``sample`` modes and midpoints.
+        Returns the bound, the smallest sigma_min at the modes and the
+        smallest found anywhere."""
+        C = verify._scaled_pair(A, b, None)[0]
+        modes, _, whole = verify._modes(C)
+        at_modes = pencil_sigma_min(C, modes).min()
+        points = plane_samples(rng, modes)[modes.size :]
+        pick = rng.permutation(points.size)[: 2 * sample]
+        starts = np.concatenate([modes[rng.permutation(modes.size)[:sample]], points[pick]])
+        least = min(at_modes, pencil_sigma_min(C, points).min(), plane_minimum(C, starts))
+        assert whole <= least
+        return whole, at_modes, least
+
+    def test_dense_sparse_and_complex(self):
+        rng = np.random.default_rng(440)
+        cases = [(random_simple_matrix(rng, n), rng.normal(size=n)) for n in (4, 12)]
+        cases += [(sparse_system(rng, n, 0.1), rng.normal(size=n)) for n in (10, 30)]
+        cases += [(sparse_system(rng, 20, 0.1), rng.normal(size=20) * (rng.random(20) < 0.5))]
+        for n in (5, 10):
+            A = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+            cases.append((A, rng.normal(size=n) + 1j * rng.normal(size=n)))
+        positive = sum(self.check_sound(A, b, rng)[0] > 0 for A, b in cases)
+        assert positive >= len(cases) - 2
+
+    def test_strongly_non_normal(self):
+        # Upper bidiagonal with a large superdiagonal: the smallest sigma_min
+        # lies off the spectrum, far below its value at the modes, and the
+        # bound stays below it.
+        rng = np.random.default_rng(441)
+        off_spectrum = 0
+        for n in (3, 5, 8):
+            for c in (2.0, 5.0, 20.0):
+                A = np.diag(np.arange(1.0, n + 1)) + c * np.eye(n, k=1)
+                whole, at_modes, least = self.check_sound(A, rng.normal(size=n), rng)
+                assert whole > 0
+                off_spectrum += least < at_modes / 2
+        assert off_spectrum >= 3
+
+    def test_minimum_between_close_eigenvalues(self):
+        # Two eigenvalues 1e-3 apart with b far larger than their gap: the
+        # smallest sigma_min lies midway between them, about 1 / sqrt(2)
+        # of its value at either one, where the per-shift bound is nearly
+        # exact. Only the gaps divided by 4 keep the whole-plane bound
+        # below it. The pair is also taken under a rotation.
+        rng = np.random.default_rng(444)
+        A, b = np.diag([0.0, 1e-3, 1.0]), np.ones(3)
+        Q = unitary(rng, 3, False)
+        for A, b in ((A, b), (Q @ A @ Q.T, Q @ b)):
+            whole, at_modes, least = self.check_sound(A, b, rng)
+            assert least < 0.75 * at_modes and whole > least / 4
+
+    def test_small_subdiagonal_fails_the_gate(self, monkeypatch):
+        # A Hessenberg pair with b = e1 and one subdiagonal at delta / 10:
+        # the staircase stops there (k < n), so no bound may pass the gate,
+        # and the report shows the staircase's rank.
+        rng = np.random.default_rng(442)
+        n, m = 8, 5
+        H = np.triu(rng.uniform(-0.9, 0.9, (n, n)), -1)
+        subdiagonal = rng.choice([-1, 1], n - 1) * rng.uniform(0.3, 0.9, n - 1)
+        H[np.arange(1, n), np.arange(n - 1)] = subdiagonal
+        H[0, 0], H[m, m - 1] = 0.95, 0.0
+        b = np.eye(n)[0]
+        H[m, m - 1] = verify._scaled_pair(H, b, None)[2] / 10
+        C, scale, tol, backward = verify._scaled_pair(H, b, None)
+        assert scale == 1 and H[m, m - 1] <= tol / 9
+        basis = left_eigenbasis(H)
+        _, whole = verify._lower_bound(C[:, 1:], C[:, 0], basis.vectors.conj(), basis.eigenvalues)
+        assert whole - backward <= tol and verify._modes(C, backward)[2] <= tol
+        reductions = spy_staircase(monkeypatch)
+        report = verification_report(b, A=H, basis=basis)
+        kalman, pbh = kalman_test(H, b), pbh_eigenvalue_test(H, b, basis.eigenvalues)
+        monkeypatch.undo()
+        assert reductions == [m] * 3
+        assert report.kalman == kalman == KalmanResult(controllable=False, rank=m)
+        assert report.pbh_eigenvalue == pbh
+        assert sum(r < n for r in pbh.ranks) == n - m
+
+    def test_sparse_pairs_skip_the_staircase(self, monkeypatch):
+        # Sparse n = 100 systems with a dense b: every test clears the pair
+        # from the eigenbasis, and no reduction runs. With every bound at
+        # zero the reduction and the SVDs give the same report.
+        rng = np.random.default_rng(443)
+        for _ in range(3):
+            A = sparse_system(rng, 100)
+            b = rng.normal(size=100)
+            basis = left_eigenbasis(A)
+            reductions = spy_staircase(monkeypatch)
+            report = verification_report(b, A=A, basis=basis)
+            kalman, pbh = kalman_test(A, b), pbh_eigenvalue_test(A, b, basis.eigenvalues)
+            assert reductions == []
+            assert report.kalman == kalman == KalmanResult(controllable=True, rank=100)
+            assert report.pbh_eigenvalue == pbh == verify.PbhEigenvalueResult(True, (100,) * 100)
+            monkeypatch.setattr(verify, "_lower_bound", zero_bound)
+            assert verification_report(b, A=A, basis=basis) == report
+            monkeypatch.undo()
+            assert reductions == [100]
 
 
 class TestStaircase:
