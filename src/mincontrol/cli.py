@@ -765,9 +765,6 @@ def run_command(argv) -> int:
     started = time.perf_counter()
     try:
         code, report = _COMMANDS[args.subcommand](args)
-    except (ParseError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,17 +3,17 @@
 Set indices are 1-based throughout the public interface, matching the
 customary S_1..S_n naming. The exact solver is deterministic: among all
 minimum-cardinality covers it returns the lexicographically smallest
-index set. It finds the optimal size by branch-and-bound, then rebuilds
-the lexicographically smallest cover of that size in one pass over the
-sets in index order, keeping a set whenever the rest can still be
-covered within the budget. Both searches branch on the uncovered
-element with the fewest covering sets.
+index set. One complete feasibility search, branching on the uncovered
+element with the fewest covering sets, finds the optimal size as the
+least budget that covers the universe. The same search, with the same
+failure memo, then rebuilds the lexicographically smallest cover of
+that size in one pass over the sets in index order, keeping a set
+whenever the rest can still be covered within the budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import ceil
 from typing import Iterable
 
 import numpy as np
@@ -167,58 +167,18 @@ def _branch_sets(uncovered: int, sets_of: list[int], lo: int) -> list[int]:
     return indices
 
 
-def _min_cover_size(universe: int, masks: list[int]) -> int:
-    """Branch-and-bound optimal cover size.
+def _lex_smallest_cover(universe: int, masks: list[int]) -> tuple[int, ...]:
+    """Lexicographically smallest minimum-cardinality cover.
 
-    Dominated sets (subsets of another set) are dropped first: any cover
-    using a dominated set maps to one of equal size using its dominator,
-    so the optimal size is preserved. Branches on the least-covered
-    uncovered element; prunes with counting and packing lower bounds, a
-    greedy upper bound, and a best-effort-per-state memo.
-    """
-    if universe == 0:
-        return 0
-    order = sorted(range(len(masks)), key=lambda i: -masks[i].bit_count())
-    kept: list[int] = []
-    for i in order:
-        if any(masks[i] | m == m for m in kept):
-            continue
-        kept.append(masks[i])
-    max_size = max(m.bit_count() for m in kept)
-    sets_of, neighbours = _element_masks(kept, universe.bit_length())
-    best = len(_greedy_masks(universe, kept))
-    seen: dict[int, int] = {}
-    def dfs(uncovered: int, used: int):
-        nonlocal best
-        if uncovered == 0:
-            best = min(best, used)
-            return
-        if used + ceil(uncovered.bit_count() / max_size) >= best:
-            return
-        prev = seen.get(uncovered)
-        if prev is not None and prev <= used:
-            return
-        seen[uncovered] = used
-        if used + _packing_bound(uncovered, neighbours, best - used) >= best:
-            return
-        for i in _branch_sets(uncovered, sets_of, 0):
-            dfs(uncovered & ~kept[i], used + 1)
-    dfs(universe, 0)
-    return best
-
-
-def _lex_smallest_cover(universe: int, masks: list[int], k: int) -> tuple[int, ...]:
-    """Lexicographically smallest size-k cover over the original family.
-
-    One pass in index order takes set i whenever the elements it leaves
-    uncovered can still be covered by the remaining budget of sets of
-    index above i. That test branches on the uncovered element with the
-    fewest such sets, trying each of them: every cover must cover that
-    element, so the search is complete. It prunes with the counting and
-    packing bounds of the branch-and-bound. The lowest admissible index
-    only grows during the pass, so a failure recorded at one index holds
-    at every later one and the memo is keyed on the uncovered elements
-    alone.
+    One test decides everything: can the uncovered elements be covered
+    by ``budget`` sets of index ``lo`` or above? It branches on the
+    uncovered element with the fewest such sets, trying each of them, so
+    it is complete, and prunes with counting and packing bounds. With
+    ``lo`` = 0 the optimal size k is the least budget that covers the
+    universe. One pass in index order then takes set i whenever the rest
+    of the budget can still cover what it leaves, with sets above i.
+    ``lo`` only grows, so a failure recorded at one ``lo`` holds at every
+    later one, and one memo keyed on the uncovered elements serves both.
     """
     sets_of, neighbours = _element_masks(masks, universe.bit_length())
     max_size = max(m.bit_count() for m in masks)
@@ -240,6 +200,9 @@ def _lex_smallest_cover(universe: int, masks: list[int], k: int) -> tuple[int, .
         failed[uncovered] = budget
         return False
 
+    k = next((k for k in range(len(masks) + 1) if feasible(universe, k)), None)
+    if k is None:
+        raise AssertionError("family does not cover the universe")
     chosen: list[int] = []
     uncovered = universe
     for i, m in enumerate(masks):
@@ -250,7 +213,7 @@ def _lex_smallest_cover(universe: int, masks: list[int], k: int) -> tuple[int, .
             chosen.append(i)
             uncovered &= ~m
     if uncovered:
-        raise AssertionError("no size-k cover found; k below optimum")
+        raise AssertionError("no size-k cover found in index order")
     return tuple(chosen)
 
 
@@ -259,9 +222,9 @@ def solve_exact(
 ) -> CoverSolution:
     """Minimum-cardinality cover, lexicographically smallest on ties.
 
-    Branch-and-bound finds the optimal size, then a lexicographic
-    reconstruction picks the cover. Raises TooLarge when the universe
-    exceeds ``exact_limit`` elements.
+    One feasibility search finds the optimal size, then picks the cover
+    in index order with the same search and memo. Raises TooLarge when
+    the universe exceeds ``exact_limit`` elements.
     """
     return _exact_cover(_incidence(instance), exact_limit)
 
@@ -276,9 +239,7 @@ def _exact_cover(incidence: np.ndarray, exact_limit: int) -> CoverSolution:
     if not incidence.shape[1]:
         return CoverSolution(frozenset(), exact=True)
     universe = (1 << incidence.shape[1]) - 1
-    masks = _row_masks(incidence)
-    k = _min_cover_size(universe, masks)
-    combo = _lex_smallest_cover(universe, masks, k)
+    combo = _lex_smallest_cover(universe, _row_masks(incidence))
     return CoverSolution(frozenset(i + 1 for i in combo), exact=True)
 
 

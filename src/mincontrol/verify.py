@@ -199,7 +199,11 @@ def staircase(A, b, rank_tol: float | None = None) -> Staircase:
     that column's nonzero coordinates: an exact zero pattern that makes
     the pair uncontrollable survives the reduction as an exact zero.
     """
-    C, scale, tol, _ = _scaled_pair(A, b, rank_tol)
+    return _reduce(*_scaled_pair(A, b, rank_tol)[:3])
+
+
+def _reduce(C: np.ndarray, scale: float, tol: float) -> Staircase:
+    """``staircase`` on a scaled pair from ``_scaled_pair``, reduced in place."""
     n = C.shape[0]
     k = n
     for j in range(n):
@@ -402,7 +406,7 @@ def pbh_eigenvalue_test(
     modes, lower, whole = _modes(C, backward)
     if whole > tol:
         return _pbh_eigenvalue(n, np.full(shifts.size, n))
-    form = staircase(A, b, rank_tol)
+    form = _reduce(C, scale, tol)
     return _pbh_eigenvalue(n, _ranks(form.form, shifts, _extend(lower, modes, shifts), tol)[0])
 
 
@@ -441,11 +445,11 @@ def kalman_test(A, b, rank_tol: float | None = None) -> KalmanResult:
     H with their bounds, and a reachable block with k < n takes its own
     (see ``_kalman``).
     """
-    C, _, tol, backward = _scaled_pair(A, b, rank_tol)
+    C, scale, tol, backward = _scaled_pair(A, b, rank_tol)
     modes, lower, whole = _modes(C, backward)
     if whole > tol:
         return KalmanResult(controllable=True, rank=C.shape[0])
-    return _kalman(staircase(A, b, rank_tol), modes, lower)
+    return _kalman(_reduce(C, scale, tol), modes, lower)
 
 
 def verification_report(
@@ -497,7 +501,7 @@ def verification_report(
             pbh_val = _pbh_eigenvalue(n, np.full(shifts.size, n))
             kalman = KalmanResult(controllable=True, rank=n)
         else:
-            form = staircase(A, b, rank_tol)
+            form = _reduce(C, scale, tol)
             ranks, lower = _ranks(form.form, shifts, lower - backward, tol)
             pbh_val = _pbh_eigenvalue(n, ranks)
             modes = None

@@ -54,8 +54,9 @@ def random_instance(rng, n_sets, universe_size, density=0.4):
             return SetCoverInstance(frozenset(universe), tuple(sets))
 
 
-def milp_optimum(instance):
-    """Reference: the minimum cover size from scipy's MILP solver."""
+def cover_milp(instance, lower=0, upper=1, size=None):
+    """scipy's MILP for the minimum cover, each set's 0/1 variable held in
+    [lower, upper] and, when ``size`` is given, at most ``size`` sets."""
     import numpy as np
 
     optimize = pytest.importorskip("scipy.optimize")
@@ -64,14 +65,43 @@ def milp_optimum(instance):
         [[e in s for s in instance.sets] for e in elements], dtype=float
     )
     ones = np.ones(instance.n_sets)
-    reference = optimize.milp(
+    constraints = [optimize.LinearConstraint(incidence, lb=1)]
+    if size is not None:
+        constraints.append(optimize.LinearConstraint(ones, ub=size))
+    return optimize.milp(
         ones,
-        constraints=optimize.LinearConstraint(incidence, lb=1),
+        constraints=constraints,
         integrality=ones,
-        bounds=optimize.Bounds(0, 1),
+        bounds=optimize.Bounds(lower, upper),
     )
+
+
+def milp_optimum(instance):
+    """Reference: the minimum cover size from scipy's MILP solver."""
+    reference = cover_milp(instance)
     assert reference.success
     return round(reference.fun)
+
+
+def milp_lex_cover(instance, size):
+    """Reference: the lexicographically smallest cover of ``size`` sets.
+
+    Sets are fixed in index order: set i is kept when the MILP still finds
+    a cover of ``size`` sets with it and every set kept so far, and with
+    every earlier rejected set left out.
+    """
+    import numpy as np
+
+    lower, upper = np.zeros(instance.n_sets), np.ones(instance.n_sets)
+    for i in range(instance.n_sets):
+        if lower.sum() == size:
+            break
+        lower[i] = 1
+        status = cover_milp(instance, lower, upper, size).status
+        assert status in (0, 2)  # solved, or proven infeasible
+        if status == 2:
+            lower[i] = upper[i] = 0
+    return tuple(int(i) + 1 for i in np.flatnonzero(lower))
 
 
 def sparse_cover_instance(n, density, seed):
@@ -236,6 +266,14 @@ class TestSolveExact:
         got = solve_exact(inst, exact_limit=n)
         assert is_cover(inst, got.indices)
         assert got.size == milp_optimum(inst)
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (100, 1), (150, 0), (150, 2)])
+    def test_sparse_system_tie_break_matches_milp(self, n, seed):
+        # Beyond brute force: the MILP oracle fixes the sets in index order
+        # and so gives the lexicographically smallest optimal cover.
+        inst = sparse_cover_instance(n, 0.02, seed)
+        got = solve_exact(inst, exact_limit=n)
+        assert got.sorted_indices == milp_lex_cover(inst, milp_optimum(inst))
 
     def test_deterministic(self):
         import numpy as np

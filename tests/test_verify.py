@@ -122,14 +122,14 @@ def spy_pencil_svds(monkeypatch):
 def spy_staircase(monkeypatch):
     """Spy on the staircase reductions: the list holds each one's k."""
     calls = []
-    staircase = verify.staircase
+    reduce = verify._reduce
 
     def spy(*args, **kwargs):
-        form = staircase(*args, **kwargs)
+        form = reduce(*args, **kwargs)
         calls.append(form.k)
         return form
 
-    monkeypatch.setattr(verify, "staircase", spy)
+    monkeypatch.setattr(verify, "_reduce", spy)
     return calls
 
 
@@ -263,15 +263,15 @@ class TestPbhRanksAgainstComplexReference:
         # reduction runs only there: elsewhere the whole-plane bound clears
         # the pair.
         pairs, reductions, ranked = [], [], []
-        scaled_pair, staircase, svd = verify._scaled_pair, verify.staircase, np.linalg.svd
+        scaled_pair, reduce, svd = verify._scaled_pair, verify._reduce, np.linalg.svd
 
         def scaled_pair_spy(*args):
             pair = scaled_pair(*args)
             pairs.append(pair[0].dtype.name)
             return pair
 
-        def staircase_spy(*args, **kwargs):
-            form = staircase(*args, **kwargs)
+        def reduce_spy(*args, **kwargs):
+            form = reduce(*args, **kwargs)
             reductions.append(form.form.dtype.name)
             return form
 
@@ -281,7 +281,7 @@ class TestPbhRanksAgainstComplexReference:
             return svd(X, *args, **kwargs)
 
         monkeypatch.setattr(verify, "_scaled_pair", scaled_pair_spy)
-        monkeypatch.setattr(verify, "staircase", staircase_spy)
+        monkeypatch.setattr(verify, "_reduce", reduce_spy)
         monkeypatch.setattr(np.linalg, "svd", svd_spy)
         pbh_eigenvalue_test(A, b, eigenvalues)
         assert set(pairs) == {dtypes[0]}
