@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -49,7 +49,7 @@ SCHEMA_VERSION = 1
 #: injected nonzeros are actually seen (the stock default sits above them).
 PERTURB_ZERO_TOL_FACTOR = 1e-3
 
-_TOL_KEYS = ("residual_tol", "gap_tol", "rank_tol", "zero_tol", "tau")
+_TOL_KEYS = tuple(f.name for f in fields(Tolerances))
 
 #: Entry types a JSON number decodes to; ``bool`` is deliberately absent.
 _NUMBER_TYPES = {int, float}
@@ -273,24 +273,13 @@ def _matrix_digest(matrix) -> str:
 # ---------------------------------------------------------------------------
 # tolerance resolution
 
-def _effective_tolerances(args, pf: ProblemFile) -> tuple[Tolerances, bool]:
-    """defaults < environment < problem file < command line; returns
-    (tolerances, zero_tol_was_explicit)."""
-    tol = Tolerances.from_env(os.environ)
-    explicit_zero = "MINCONTROL_TOL_ZERO" in os.environ
-    if pf.tolerance_overrides:
-        tol = tol.replace(**pf.tolerance_overrides)
-        explicit_zero = explicit_zero or "zero_tol" in pf.tolerance_overrides
-    cli_overrides = {
-        "residual_tol": args.residual_tol,
-        "gap_tol": args.gap_tol,
-        "rank_tol": args.rank_tol,
-        "zero_tol": args.zero_tol,
-        "tau": args.tau,
-    }
-    tol = tol.replace(**cli_overrides)
-    explicit_zero = explicit_zero or args.zero_tol is not None
-    return tol, explicit_zero
+def _effective_tolerances(args, pf: ProblemFile) -> Tolerances:
+    """defaults < environment < problem file < command line."""
+    return (
+        Tolerances.from_env(os.environ)
+        .replace(**pf.tolerance_overrides)
+        .replace(**{k: getattr(args, k) for k in _TOL_KEYS})
+    )
 
 
 def _resolve_basis(
@@ -370,34 +359,42 @@ def _solution_to_dict(solution: McpSolution) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_solve_mcp(args) -> tuple[int, dict]:
-    pf = load_problem(args.problem)
-    tol, explicit_zero = _effective_tolerances(args, pf)
+def _solve(
+    matrix, basis: LeftEigenbasis, tol: Tolerances, mode: str, exact_limit: int
+) -> McpSolution:
+    return _solve_on_basis(
+        matrix,
+        basis,
+        mode=mode,
+        config=RealizationConfig(tau=tol.tau),
+        zero_tol=tol.zero_tol,
+        rank_tol=tol.rank_tol,
+        exact_limit=exact_limit,
+    )
+
+
+def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     matrix = pf.matrix
-    perturbation = None
+    report["perturbation"] = None
     if args.perturb is not None:
         matrix = perturb_nonzero(matrix, args.perturb, args.seed)
-        perturbation = {"magnitude": args.perturb, "seed": args.seed}
+        report["perturbation"] = {"magnitude": args.perturb, "seed": args.seed}
+        explicit_zero = (
+            "MINCONTROL_TOL_ZERO" in os.environ
+            or "zero_tol" in pf.tolerance_overrides
+            or args.zero_tol is not None
+        )
         if not explicit_zero:
             tol = tol.replace(
                 zero_tol=min(DEFAULT_ZERO_TOL, args.perturb * PERTURB_ZERO_TOL_FACTOR)
             )
-    report = _base_report("solve-mcp", args.problem, pf, tol)
-    report["perturbation"] = perturbation
+            report["tolerances"] = tol.as_dict()
     basis, basis_source = _resolve_basis(
-        pf, matrix, tol, allow_file_basis=perturbation is None
+        pf, matrix, tol, allow_file_basis=args.perturb is None
     )
     code = 0
     try:
-        solution = _solve_on_basis(
-            matrix,
-            basis,
-            mode=args.mode,
-            config=RealizationConfig(tau=tol.tau),
-            zero_tol=tol.zero_tol,
-            rank_tol=tol.rank_tol,
-            exact_limit=args.exact_limit,
-        )
+        solution = _solve(matrix, basis, tol, args.mode, args.exact_limit)
     except VerificationFailed as exc:
         report["status"] = "unverifiable"
         report["message"] = str(exc)
@@ -415,13 +412,10 @@ def _cmd_solve_mcp(args) -> tuple[int, dict]:
             "solution": _solution_to_dict(solution),
         }
     )
-    return code, report
+    return code
 
 
-def _cmd_solve_mscp(args) -> tuple[int, dict]:
-    pf = load_problem(args.problem)
-    tol, _ = _effective_tolerances(args, pf)
-    report = _base_report("solve-mscp", args.problem, pf, tol)
+def _cmd_solve_mscp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     a_pattern = StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol)
     dag = _mscp_condensation(a_pattern)
     b_pattern = _sparsest_input(dag)
@@ -435,7 +429,7 @@ def _cmd_solve_mscp(args) -> tuple[int, dict]:
             "support_size": b_pattern.nnz,
         }
     )
-    return 0, report
+    return 0
 
 
 def _parse_vector(raw: str, n: int) -> np.ndarray:
@@ -450,22 +444,18 @@ def _parse_vector(raw: str, n: int) -> np.ndarray:
     return np.array(entries)
 
 
-def _cmd_verify(args) -> tuple[int, dict]:
-    pf = load_problem(args.problem)
-    tol, _ = _effective_tolerances(args, pf)
-    report = _base_report("verify", args.problem, pf, tol)
+def _cmd_verify(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     b = _parse_vector(args.vector, pf.n)
     report["vector"] = _complex2j(b)
     report["method"] = args.method
+    basis = None if args.method == "kalman" else _resolve_basis(pf, pf.matrix, tol)[0]
     if args.method == "kalman":
         res = kalman_test(pf.matrix, b, tol.rank_tol)
         report["result"] = {"controllable": res.controllable, "rank": res.rank}
     elif args.method == "pbh-eig":
-        basis, _ = _resolve_basis(pf, pf.matrix, tol)
         res = pbh_eigenvalue_test(pf.matrix, b, basis.eigenvalues, tol.rank_tol)
         report["result"] = {"controllable": res.controllable, "ranks": list(res.ranks)}
     else:
-        basis, _ = _resolve_basis(pf, pf.matrix, tol)
         res = pbh_eigenvector_test(basis, b, tol.tau)
         report["result"] = {
             "controllable": res.controllable,
@@ -474,14 +464,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
         }
     if not res.controllable:
         report["status"] = "not-controllable"
-        return 1, report
-    return 0, report
+        return 1
+    return 0
 
 
-def _cmd_oracle(args) -> tuple[int, dict]:
-    pf = load_problem(args.problem)
-    tol, _ = _effective_tolerances(args, pf)
-    report = _base_report("oracle", args.problem, pf, tol)
+def _cmd_oracle(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     result = brute_force_mcp(
         pf.matrix,
         n_limit=args.n_limit,
@@ -498,25 +485,14 @@ def _cmd_oracle(args) -> tuple[int, dict]:
             "kalman_verdicts": list(result.kalman_verdicts),
         }
     )
-    return 0, report
+    return 0
 
 
-def _cmd_compare(args) -> tuple[int, dict]:
-    pf = load_problem(args.problem)
-    tol, _ = _effective_tolerances(args, pf)
-    report = _base_report("compare", args.problem, pf, tol)
+def _cmd_compare(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     dag = _mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
     mscp_pattern = _sparsest_input(dag)
     basis, _ = _resolve_basis(pf, pf.matrix, tol)
-    solution = _solve_on_basis(
-        pf.matrix,
-        basis,
-        mode="exact",
-        config=RealizationConfig(tau=tol.tau),
-        zero_tol=tol.zero_tol,
-        rank_tol=tol.rank_tol,
-        exact_limit=args.exact_limit,
-    )
+    solution = _solve(pf.matrix, basis, tol, "exact", args.exact_limit)
     witness = _compatible_input(dag, solution.pattern)
     report.update(
         {
@@ -538,13 +514,10 @@ def _cmd_compare(args) -> tuple[int, dict]:
             "size_gap": solution.size - mscp_pattern.nnz,
         }
     )
-    return 0, report
+    return 0
 
 
-def _cmd_eig(args) -> tuple[int, dict]:
-    pf = load_problem(args.problem)
-    tol, _ = _effective_tolerances(args, pf)
-    report = _base_report("eig", args.problem, pf, tol)
+def _cmd_eig(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     basis, basis_source = _resolve_basis(pf, pf.matrix, tol)
     patterns = _patterns(_nonzero_mask(basis.vectors, tol.zero_tol))
     report.update(
@@ -555,7 +528,7 @@ def _cmd_eig(args) -> tuple[int, dict]:
             "eigenvector_patterns": [str(p) for p in patterns],
         }
     )
-    return 0, report
+    return 0
 
 
 _COMMANDS = {
@@ -764,7 +737,10 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
     try:
-        code, report = _COMMANDS[args.subcommand](args)
+        pf = load_problem(args.problem)
+        tol = _effective_tolerances(args, pf)
+        report = _base_report(args.subcommand, args.problem, pf, tol)
+        code = _COMMANDS[args.subcommand](args, pf, tol, report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

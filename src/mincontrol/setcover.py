@@ -115,21 +115,6 @@ def _greedy_masks(universe: int, masks: list[int]) -> list[int]:
     return chosen
 
 
-def _element_masks(masks: list[int], width: int) -> tuple[list[int], list[int]]:
-    """Per element e: the sets covering e and the elements sharing a set with e.
-
-    Both are bitmasks: bit i stands for set i in the first, for element i
-    in the second.
-    """
-    nbytes = (width + 7) // 8
-    rows = np.frombuffer(
-        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
-    ).reshape(len(masks), nbytes)
-    incidence = np.unpackbits(rows, axis=1, count=width, bitorder="little")
-    weights = incidence.astype(np.float32)
-    return _row_masks(incidence.T), _row_masks(weights.T @ weights > 0)
-
-
 def _packing_bound(uncovered: int, neighbours: list[int], cap: int) -> int:
     """Uncovered elements that pairwise share no set, counted up to ``cap``.
 
@@ -167,8 +152,8 @@ def _branch_sets(uncovered: int, sets_of: list[int], lo: int) -> list[int]:
     return indices
 
 
-def _lex_smallest_cover(universe: int, masks: list[int]) -> tuple[int, ...]:
-    """Lexicographically smallest minimum-cardinality cover.
+def _lex_smallest_cover(incidence: np.ndarray) -> tuple[int, ...]:
+    """Lexicographically smallest minimum-cardinality cover of an incidence.
 
     One test decides everything: can the uncovered elements be covered
     by ``budget`` sets of index ``lo`` or above? It branches on the
@@ -180,7 +165,12 @@ def _lex_smallest_cover(universe: int, masks: list[int]) -> tuple[int, ...]:
     ``lo`` only grows, so a failure recorded at one ``lo`` holds at every
     later one, and one memo keyed on the uncovered elements serves both.
     """
-    sets_of, neighbours = _element_masks(masks, universe.bit_length())
+    masks = _row_masks(incidence)
+    universe = (1 << incidence.shape[1]) - 1
+    # Per element: the sets covering it and the elements sharing a set with it.
+    sets_of = _row_masks(incidence.T)
+    weights = incidence.astype(np.float32)
+    neighbours = _row_masks(weights.T @ weights > 0)
     max_size = max(m.bit_count() for m in masks)
     failed: dict[int, int] = {}
     lo = 0
@@ -238,8 +228,7 @@ def _exact_cover(incidence: np.ndarray, exact_limit: int) -> CoverSolution:
         )
     if not incidence.shape[1]:
         return CoverSolution(frozenset(), exact=True)
-    universe = (1 << incidence.shape[1]) - 1
-    combo = _lex_smallest_cover(universe, _row_masks(incidence))
+    combo = _lex_smallest_cover(incidence)
     return CoverSolution(frozenset(i + 1 for i in combo), exact=True)
 
 

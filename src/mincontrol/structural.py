@@ -193,12 +193,12 @@ def is_structurally_controllable(
     pattern: StructuralMatrix, b_pattern: StructuralVector
 ) -> bool:
     """Whether the input pattern feeds every non-top-linked component."""
-    _require_full_diagonal(pattern)
     if len(b_pattern) != pattern.rows:
+        _require_full_diagonal(pattern)  # its errors take precedence
         raise DimensionMismatch(
             f"input pattern length {len(b_pattern)} != {pattern.rows}"
         )
-    dag = scc_dag(state_digraph(pattern))
+    dag = _mscp_condensation(pattern)
     starred = set(b_pattern.support)
     return all(
         starred.intersection(comp) for comp in dag.non_top_linked_components

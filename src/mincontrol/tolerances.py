@@ -7,7 +7,7 @@ always embed the values actually used.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 #: Residual bound for computed left-eigenpairs, relative to ||A||.
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -73,10 +73,4 @@ class Tolerances:
         return replace(self, **changes)
 
     def as_dict(self) -> dict:
-        return {
-            "residual_tol": self.residual_tol,
-            "gap_tol": self.gap_tol,
-            "rank_tol": self.rank_tol,
-            "zero_tol": self.zero_tol,
-            "tau": self.tau,
-        }
+        return asdict(self)

@@ -392,6 +392,148 @@ class TestSolveMcpCommand:
         jsonschema.validate(report, SCHEMA)
 
 
+class TestUnverifiableSolve:
+    """A rank threshold of 10 ||sA||_F sees no rank at all, so the
+    golden solve realizes its vector but cannot certify it."""
+
+    def test_report(self, capsys, golden_path):
+        code, report = run_json(capsys, "solve-mcp", golden_path, "--rank-tol", "10")
+        assert code == 1
+        assert report["status"] == "unverifiable"
+        assert report["message"] == (
+            "the realized vector failed the controllability certificate "
+            "(kalman rank 0); check the tolerance configuration"
+        )
+        assert report["solution"]["support"] == [2, 3, 4]
+        assert report["solution"]["verification"]["kalman"]["rank"] == 0
+
+    def test_schema(self, capsys, golden_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        _, report = run_json(capsys, "solve-mcp", golden_path, "--rank-tol", "10")
+        jsonschema.validate(report, SCHEMA)
+
+
+class TestTextReports:
+    """The text rendering of every subcommand on the golden system."""
+
+    @pytest.mark.parametrize(
+        "argv, code, lines",
+        [
+            (
+                ["solve-mcp"],
+                0,
+                [
+                    "command: solve-mcp",
+                    "status: ok",
+                    "input: {path} (n=5)",
+                    "eigenvalues: 5, 4, 3, 2, 1",
+                    "eigenvector patterns: **00* 00*0* 000*0 0*000 *0**0",
+                    "cover sets: S1={{1,5}}, S2={{1,4}}, S3={{2,5}}, S4={{3,5}}, S5={{1,2}}",
+                    "support: [2, 3, 4] pattern: 0***0 size: 3",
+                    "vector: [0, 1.57735026919, 1.28445705038, 1.57735026919, 0]",
+                    "kalman rank: 5 controllable: True",
+                ],
+            ),
+            (
+                ["solve-mcp", "--rank-tol", "10"],
+                1,
+                [
+                    "command: solve-mcp",
+                    "status: unverifiable",
+                    "message: the realized vector failed the controllability "
+                    "certificate (kalman rank 0); check the tolerance configuration",
+                    "input: {path} (n=5)",
+                    "eigenvalues: 5, 4, 3, 2, 1",
+                    "eigenvector patterns: **00* 00*0* 000*0 0*000 *0**0",
+                    "cover sets: S1={{1,5}}, S2={{1,4}}, S3={{2,5}}, S4={{3,5}}, S5={{1,2}}",
+                    "support: [2, 3, 4] pattern: 0***0 size: 3",
+                    "vector: [0, 1.57735026919, 1.28445705038, 1.57735026919, 0]",
+                    "kalman rank: 0 controllable: False",
+                    "note: the controllability tests disagree; see --json",
+                ],
+            ),
+            (
+                ["solve-mscp"],
+                0,
+                [
+                    "command: solve-mscp",
+                    "status: ok",
+                    "input: {path} (n=5)",
+                    "pattern: 0*0*0 support: [2, 4]",
+                    "non-top-linked components: [[2], [4]]",
+                ],
+            ),
+            (
+                ["verify", "--method", "kalman", "--vector", "0,1,1,1,0"],
+                0,
+                [
+                    "command: verify",
+                    "status: ok",
+                    "input: {path} (n=5)",
+                    "method: kalman result: {{'controllable': True, 'rank': 5}}",
+                ],
+            ),
+            (
+                ["verify", "--method", "pbh-eig", "--vector", "1,0,0,0,0"],
+                1,
+                [
+                    "command: verify",
+                    "status: not-controllable",
+                    "input: {path} (n=5)",
+                    "method: pbh-eig result: "
+                    "{{'controllable': False, 'ranks': [5, 4, 4, 4, 5]}}",
+                ],
+            ),
+            (
+                ["oracle"],
+                0,
+                [
+                    "command: oracle",
+                    "status: ok",
+                    "input: {path} (n=5)",
+                    "minimum support size: 3",
+                    "optimal supports: [[2, 3, 4], [2, 4, 5]]",
+                ],
+            ),
+            (
+                ["compare"],
+                0,
+                [
+                    "command: compare",
+                    "status: ok",
+                    "input: {path} (n=5)",
+                    "MCP size 3 0***0 vs MSCP size 2 0*0*0; dominance: True",
+                ],
+            ),
+            (
+                ["eig"],
+                0,
+                [
+                    "command: eig",
+                    "status: ok",
+                    "input: {path} (n=5)",
+                    "eigenvalues: 5, 4, 3, 2, 1",
+                    "eigenvector patterns: **00* 00*0* 000*0 0*000 *0**0",
+                ],
+            ),
+        ],
+        ids=[
+            "solve-mcp",
+            "solve-mcp-unverifiable",
+            "solve-mscp",
+            "verify-kalman",
+            "verify-pbh-eig",
+            "oracle",
+            "compare",
+            "eig",
+        ],
+    )
+    def test_golden(self, capsys, golden_path, argv, code, lines):
+        assert run_command([argv[0], golden_path, *argv[1:]]) == code
+        expected = "".join(line.format(path=golden_path) + "\n" for line in lines)
+        assert capsys.readouterr().out == expected
+
+
 class TestSolveMscpCommand:
     def test_worked_example(self, capsys, golden_path):
         code, report = run_json(capsys, "solve-mscp", golden_path)
@@ -562,6 +704,98 @@ class TestToleranceResolution:
     def test_bad_env_value_exits_two(self, capsys, golden_path, monkeypatch):
         monkeypatch.setenv("MINCONTROL_TOL_ZERO", "soft")
         assert run_command(["eig", golden_path]) == 2
+
+
+#: Extra arguments each subcommand needs on the golden system.
+COMMAND_ARGS = {
+    "solve-mcp": [],
+    "solve-mscp": [],
+    "verify": ["--method", "pbh-vec", "--vector", "0,1,1,1,0"],
+    "oracle": [],
+    "compare": [],
+    "eig": [],
+}
+
+
+class TestTolerancePrecedence:
+    """defaults < environment < problem file < flag, in every subcommand."""
+
+    ENV = {
+        "MINCONTROL_TOL_RESIDUAL": "1e-7",
+        "MINCONTROL_TOL_GAP": "1e-10",
+        "MINCONTROL_TOL_RANK": "1e-12",
+        "MINCONTROL_TOL_ZERO": "1e-8",
+        "MINCONTROL_TOL_ORTHO": "1e-11",
+    }
+    FILE = {
+        "residual_tol": 1e-6,
+        "gap_tol": 1e-11,
+        "rank_tol": 1e-11,
+        "zero_tol": 1e-7,
+        "tau": 1e-12,
+    }
+    FLAGS = {
+        "residual_tol": 1e-5,
+        "gap_tol": 1e-12,
+        "rank_tol": 1e-10,
+        "zero_tol": 1e-6,
+        "tau": 1e-13,
+    }
+
+    def tolerances(self, capsys, command, path, *flags):
+        code, report = run_json(capsys, command, path, *COMMAND_ARGS[command], *flags)
+        assert code == 0, report
+        return report["tolerances"]
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_each_level_beats_the_one_below(self, capsys, tmp_path, monkeypatch, command):
+        for key in self.ENV:
+            monkeypatch.delenv(key, raising=False)
+        matrix = [[float(x) for x in row] for row in GOLDEN_A]
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"matrix": matrix}))
+        with_file = tmp_path / "with_file.json"
+        with_file.write_text(json.dumps({"matrix": matrix, "tolerances": self.FILE}))
+        flags = []
+        for name, value in self.FLAGS.items():
+            flags += ["--" + name.replace("_", "-"), repr(value)]
+
+        assert self.tolerances(capsys, command, str(plain)) == {
+            "residual_tol": 1e-8,
+            "gap_tol": 1e-9,
+            "rank_tol": None,
+            "zero_tol": 1e-9,
+            "tau": 1e-10,
+        }
+        for key, value in self.ENV.items():
+            monkeypatch.setenv(key, value)
+        assert self.tolerances(capsys, command, str(plain)) == {
+            "residual_tol": 1e-7,
+            "gap_tol": 1e-10,
+            "rank_tol": 1e-12,
+            "zero_tol": 1e-8,
+            "tau": 1e-11,
+        }
+        assert self.tolerances(capsys, command, str(with_file)) == self.FILE
+        assert self.tolerances(capsys, command, str(with_file), *flags) == self.FLAGS
+
+    @pytest.mark.parametrize("source", ["env", "file"])
+    def test_explicit_zero_tol_stops_perturb_tightening(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        monkeypatch.delenv("MINCONTROL_TOL_ZERO", raising=False)
+        doc = {"matrix": [[float(x) for x in row] for row in GOLDEN_A]}
+        if source == "env":
+            monkeypatch.setenv("MINCONTROL_TOL_ZERO", "1e-9")
+        else:
+            doc["tolerances"] = {"zero_tol": 1e-9}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        _, report = run_json(
+            capsys, "solve-mcp", str(path), "--perturb", "1e-10", "--seed", "0"
+        )
+        assert report["tolerances"]["zero_tol"] == 1e-9
+        assert report["solution"]["support"] == [2, 3, 4]
 
 
 class TestBasisTolerancesReachTheSolve:
