@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -40,7 +40,7 @@ from .setcover import EXACT_UNIVERSE_LIMIT
 from .structural import _compatible_input, _mscp_condensation, _sparsest_input
 from .structure import StructuralMatrix, _nonzero_mask, _patterns, structural_geq
 from .tolerances import DEFAULT_ZERO_TOL, Tolerances
-from .verify import kalman_test, pbh_eigenvalue_test, pbh_eigenvector_test
+from .verify import _certify, kalman_test, pbh_eigenvector_test
 
 SCHEMA_VERSION = 1
 
@@ -303,30 +303,16 @@ def _resolve_basis(
 # ---------------------------------------------------------------------------
 # report assembly
 
+def _result_to_dict(result) -> dict:
+    """One test's result dataclass as report fields, in field order."""
+    return {k: list(v) if type(v) is tuple else v for k, v in asdict(result).items()}
+
+
 def _verification_to_dict(report) -> dict:
-    out = {
-        "controllable": report.controllable,
-        "consistent": report.consistent,
-        "kalman": None,
-        "pbh_eigenvalue": None,
-        "pbh_eigenvector": None,
-    }
-    if report.kalman is not None:
-        out["kalman"] = {
-            "controllable": report.kalman.controllable,
-            "rank": report.kalman.rank,
-        }
-    if report.pbh_eigenvalue is not None:
-        out["pbh_eigenvalue"] = {
-            "controllable": report.pbh_eigenvalue.controllable,
-            "ranks": list(report.pbh_eigenvalue.ranks),
-        }
-    if report.pbh_eigenvector is not None:
-        out["pbh_eigenvector"] = {
-            "controllable": report.pbh_eigenvector.controllable,
-            "violator": report.pbh_eigenvector.violator,
-            "min_inner": report.pbh_eigenvector.min_inner,
-        }
+    out = {"controllable": report.controllable, "consistent": report.consistent}
+    for name in ("kalman", "pbh_eigenvalue", "pbh_eigenvector"):
+        result = getattr(report, name)
+        out[name] = None if result is None else _result_to_dict(result)
     return out
 
 
@@ -448,20 +434,15 @@ def _cmd_verify(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     b = _parse_vector(args.vector, pf.n)
     report["vector"] = _complex2j(b)
     report["method"] = args.method
-    basis = None if args.method == "kalman" else _resolve_basis(pf, pf.matrix, tol)[0]
     if args.method == "kalman":
         res = kalman_test(pf.matrix, b, tol.rank_tol)
-        report["result"] = {"controllable": res.controllable, "rank": res.rank}
-    elif args.method == "pbh-eig":
-        res = pbh_eigenvalue_test(pf.matrix, b, basis.eigenvalues, tol.rank_tol)
-        report["result"] = {"controllable": res.controllable, "ranks": list(res.ranks)}
     else:
-        res = pbh_eigenvector_test(basis, b, tol.tau)
-        report["result"] = {
-            "controllable": res.controllable,
-            "violator": res.violator,
-            "min_inner": res.min_inner,
-        }
+        basis = _resolve_basis(pf, pf.matrix, tol)[0]
+        if args.method == "pbh-eig":
+            res = _certify(pf.matrix, b, tol.rank_tol, basis, kalman=False)[0]
+        else:
+            res = pbh_eigenvector_test(basis, b, tol.tau)
+    report["result"] = _result_to_dict(res)
     if not res.controllable:
         report["status"] = "not-controllable"
         return 1
@@ -550,6 +531,10 @@ def _fmt_complex(z: complex) -> str:
     return f"{np.real(z):.12g}{np.imag(z):+.12g}j"
 
 
+def _fmt_value(value) -> str:
+    return f"{value:.12g}" if type(value) is float else str(value)
+
+
 def _render_text(report: dict) -> str:
     lines = [f"command: {report['command']}", f"status: {report['status']}"]
     if report.get("message"):
@@ -593,7 +578,10 @@ def _render_text(report: dict) -> str:
     if "non_top_linked" in report:
         lines.append(f"non-top-linked components: {report['non_top_linked']}")
     if "result" in report:
-        lines.append(f"method: {report['method']} result: {report['result']}")
+        lines.append(
+            f"method: {report['method']} "
+            + " ".join(f"{k}: {_fmt_value(v)}" for k, v in report["result"].items())
+        )
     if "min_support_size" in report:
         lines.append(f"minimum support size: {report['min_support_size']}")
         lines.append(f"optimal supports: {report['optimal_supports']}")

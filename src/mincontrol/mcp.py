@@ -53,36 +53,20 @@ from .tolerances import (
 from .verify import VerificationReport, verification_report
 
 
+#: Step 3's initial multiplier of each eigenvector, its re-alignment
+#: increment, and step 4's zero-entry repair increment.
+ALPHA, EPS1, EPS2 = 1.0, 0.1, 0.1
+
+
 @dataclass(frozen=True)
 class RealizationConfig:
-    """Knobs of the realization procedure.
+    """tau, the relative threshold below which an inner product counts as zero."""
 
-    eps1 scales the step-3 re-alignment increments, eps2 the step-4
-    zero-entry repairs; alpha gives the initial multiplier for each
-    eigenvector (a scalar broadcasts). tau is the relative threshold
-    below which an inner product counts as zero.
-    """
-
-    eps1: float = 0.1
-    eps2: float = 0.1
-    alpha: float | Sequence[float] = 1.0
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("eps1 and eps2 must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-
-    def multipliers(self, count: int) -> np.ndarray:
-        if np.isscalar(self.alpha):
-            return np.full(count, complex(self.alpha))
-        alpha = np.asarray(self.alpha, dtype=complex)
-        if alpha.shape != (count,):
-            raise DimensionMismatch(
-                f"alpha has {alpha.size} entries for {count} vectors"
-            )
-        return alpha
 
 
 @dataclass(frozen=True)
@@ -244,17 +228,16 @@ def _realize(
     # Step 3: accumulate multiples of the restricted vectors, nudging the
     # partial sum whenever it becomes orthogonal to a processed vector.
     # Each outer round needs at most |J_e|+1 nudges.
-    alphas = cfg.multipliers(len(stacked))
     bp = np.zeros(p, dtype=complex)
     step3_counts = []
     for j in range(len(stacked)):
-        bp = bp + alphas[j] * restricted[j]
+        bp = bp + ALPHA * restricted[j]
         bound = j + 2
         count = 0
         processed, processed_norms = conj_restricted[: j + 1], norms[: j + 1]
         viol = _orthogonality_violation(bp, processed, processed_norms, cfg.tau)
         while viol is not None and count < bound:
-            bp = bp + cfg.eps1 * restricted[viol]
+            bp = bp + EPS1 * restricted[viol]
             count += 1
             viol = _orthogonality_violation(bp, processed, processed_norms, cfg.tau)
         if viol is not None:
@@ -282,7 +265,7 @@ def _realize(
             direction = np.zeros(p, dtype=complex)
             direction[k] = 1.0
         for mult in range(1, multiplier_bound + 1):
-            bp = bp + cfg.eps2 * direction
+            bp = bp + EPS2 * direction
             if not _zero_entries(bp, cfg.tau, upto=k + 1) and (
                 _orthogonality_violation(bp, conj_restricted, norms, cfg.tau) is None
             ):

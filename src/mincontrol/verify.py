@@ -1,4 +1,4 @@
-"""Controllability certification from the eigenbasis, or one orthogonal staircase reduction.
+"""Controllability certification in one pass: eigenbasis bounds, then at most one reduction.
 
 ``staircase`` reduces (A, b) to controller-Hessenberg form once, in
 O(n^3): b goes to beta e1 and A to an upper Hessenberg H by unitary
@@ -9,28 +9,21 @@ eigenstructure problem in linear system theory", both IEEE TAC 26(1),
 the Kalman rank follows from the pencils of its reachable block; that
 is the certificate of record. Every rank follows one rule (``_ranks``):
 a pencil has full rank when a rigorous lower bound on its smallest
-singular value exceeds delta, and otherwise one SVD decides. The bounds
-come from a left eigenbasis (``_lower_bound``): the basis of A when one
-is at hand (every ``solve_mcp`` run), else A's own, from one ``eig``
-(``_modes``). A bound at one shift serves any other less their
-distance, since sigma_min is 1-Lipschitz in the shift (``_extend``).
+singular value exceeds delta, and otherwise one SVD decides.
 
-The same pass bounds the pair's distance to uncontrollability, the
-minimum of sigma_min([b | A - mu I]) over every complex mu (Eising,
-"Between controllable and uncontrollable", Systems & Control Letters 4,
-1984): any mu lies at least half as far from every eigenvalue as that
-eigenvalue lies from the one nearest mu, so the bound at the nearest
-eigenvalue, with every squared gap divided by 4, holds at mu. When that
-bound, less the reduction's backward error, exceeds delta, every rank
-is full and the reduction never runs: a |beta| or subdiagonal at or
-below delta would put the pair within that distance of an
-uncontrollable one. So only pairs where b is nearly orthogonal to
-a left eigenvector, two eigenvalues nearly coincide or the matrix is
-nearly defective are reduced, and only their pencils the bounds do not
-clear take an SVD. The PBH eigenvector test needs the eigenbasis
-instead. All verdicts depend on tolerances, which the report always
-embeds; when the tests disagree the report says so instead of silently
-reconciling them.
+One pass (``_certify``) gives every PBH-eigenvalue rank and the Kalman
+rank; ``kalman_test``, ``pbh_eigenvalue_test`` and
+``verification_report`` call it. It bounds the pencils from a left
+eigenbasis (``_lower_bound``), the caller's when it holds one, else A's
+own from one ``eig`` (``_modes``), at each eigenvalue and over the whole
+plane: the latter bounds the pair's distance to uncontrollability
+(Eising, "Between controllable and uncontrollable", Systems & Control
+Letters 4, 1984). When that clears delta every rank is full and nothing
+is reduced; otherwise the pass reduces once and takes an SVD only of
+the pencils no bound clears. The PBH eigenvector test needs the
+eigenbasis instead. All verdicts depend on tolerances, which the report
+always embeds; when the tests disagree the report says so instead of
+silently reconciling them.
 """
 from __future__ import annotations
 
@@ -341,9 +334,7 @@ def _ranks(
     return ranks, lower
 
 
-def _kalman(
-    form: Staircase, modes: np.ndarray | None = None, lower: np.ndarray | None = None
-) -> KalmanResult:
+def _kalman(form: Staircase, shifts: np.ndarray, lower: np.ndarray) -> KalmanResult:
     """Rank of [b, Ab, ..., A^(n-1) b]: k less the unreachable modes of H11.
 
     The modes are the eigenvalues mu of H11 = H[:k, :k], the block b
@@ -354,16 +345,19 @@ def _kalman(
     of an uncontrollable one with no small subdiagonal (Paige 1981), so k
     alone would overstate the rank.
 
-    ``modes``, when given, are computed eigenvalues of H, and ``lower``
-    bounds sigma_min of the form's pencils at them from below; they serve
-    when k = n. Otherwise the modes and their bounds come from H11's own
-    left eigenvectors (``_modes``).
+    When k = n the modes are the form's own, ``eigvals(H)``, and each
+    takes its bound from ``lower``, bounds on sigma_min of the form's
+    pencils at ``shifts`` (``_extend``). Otherwise the modes and their
+    bounds come from H11's own left eigenvectors (``_modes``).
     """
     k = form.k
     if not k:
         return KalmanResult(controllable=False, rank=0)
     C = form.form[:k, : k + 1]
-    if modes is None or k < form.n:
+    if k == form.n:
+        modes = _decide(np.linalg.eigvals, C[:, 1:])
+        lower = _extend(lower, shifts, modes)
+    else:
         modes, lower, _ = _modes(C)
     rank = k - int(np.sum(_ranks(C, modes, lower, form.tol)[0] < k))
     return KalmanResult(controllable=rank == form.n, rank=rank)
@@ -377,37 +371,6 @@ def _scaled_eigenvalues(scale: float, eigenvalues) -> np.ndarray:
         raise ValueError("eigenvalues must be finite")
     with np.errstate(over="ignore"):
         return lam * scale
-
-
-def _pbh_eigenvalue(n: int, ranks: np.ndarray) -> PbhEigenvalueResult:
-    ranks = tuple(int(r) for r in ranks)
-    return PbhEigenvalueResult(controllable=all(r == n for r in ranks), ranks=ranks)
-
-
-def pbh_eigenvalue_test(
-    A, b, eigenvalues, rank_tol: float | None = None
-) -> PbhEigenvalueResult:
-    """rank([A - lambda I | b]) = n for every supplied eigenvalue.
-
-    Checking the spectrum suffices: for any other lambda the first block
-    alone already has full rank. Each rank is that of the unitarily
-    equivalent pencil [beta e1 | H - s lambda I] of one ``staircase``
-    reduction (b scaled by t instead of s). One ``eig`` of sA gives its
-    modes and left eigenvectors (``_modes``), which bound sigma_min of
-    the scaled pair's pencils from below at every mode and over the whole
-    plane, less the reduction's backward error. When the whole-plane
-    bound exceeds delta every rank is n, and no reduction runs (see
-    ``verification_report``); otherwise the bounds at the modes extend to
-    the supplied eigenvalues (``_extend``), and ``_ranks`` decides.
-    """
-    C, scale, tol, backward = _scaled_pair(A, b, rank_tol)
-    n = C.shape[0]
-    shifts = _scaled_eigenvalues(scale, eigenvalues)
-    modes, lower, whole = _modes(C, backward)
-    if whole > tol:
-        return _pbh_eigenvalue(n, np.full(shifts.size, n))
-    form = _reduce(C, scale, tol)
-    return _pbh_eigenvalue(n, _ranks(form.form, shifts, _extend(lower, modes, shifts), tol)[0])
 
 
 def pbh_eigenvector_test(
@@ -433,23 +396,92 @@ def pbh_eigenvector_test(
     )
 
 
+def _certify(
+    A,
+    b,
+    rank_tol: float | None,
+    basis: LeftEigenbasis | None = None,
+    eigenvalues=None,
+    pbh: bool = True,
+    kalman: bool = True,
+) -> tuple[PbhEigenvalueResult | None, KalmanResult | None]:
+    """The PBH-eigenvalue ranks (``pbh``) and the Kalman result (``kalman``)
+    of (A, b), from one certificate pass.
+
+    A left eigenbasis of A bounds sigma_min of the scaled pair's pencils
+    from below (``_lower_bound``), at each of its eigenvalues and over the
+    whole plane: ``basis`` when given, else one ``eig`` of sA (``_modes``).
+    The form's pencils differ from those by the reduction's backward
+    error, at most delta / 2 for the default delta (see ``staircase``),
+    which is subtracted whatever ``rank_tol`` is. The PBH shifts are the
+    basis eigenvalues, or ``eigenvalues`` when given; these take their
+    bounds from the basis eigenvalues near them (``_extend``).
+
+    When the whole-plane bound, so lowered, exceeds delta, every PBH rank
+    is n and so is the Kalman rank, and neither the reduction nor any
+    pencil SVD runs. That is the result the reduction would give. Every
+    pencil of the form, at any complex mu, has sigma_min above delta. A
+    |beta| or subdiagonal at or below delta, set to zero, would leave an
+    uncontrollable form within delta, singular at some mu; so k = n, and
+    every PBH shift and Kalman mode has full rank.
+
+    Otherwise ``staircase`` runs once, and ``_ranks`` ranks the PBH
+    shifts, for the PBH result and, when b reaches the whole form
+    (k = n), for the Kalman modes: those are a second computed copy of the
+    spectrum and take their bounds from the shifts' (``_kalman``), the
+    sigma_min of a shift that took an SVD included. So a pair ranks only
+    the pencils the basis cannot clear: where b is nearly orthogonal to a
+    left eigenvector, two eigenvalues nearly coincide or the matrix is
+    nearly defective.
+    """
+    C, scale, tol, backward = _scaled_pair(A, b, rank_tol)
+    n = C.shape[0]
+    given = None if eigenvalues is None else _scaled_eigenvalues(scale, eigenvalues)
+    if basis is None:
+        modes, lower, whole = _modes(C, backward)
+    else:
+        modes = _scaled_eigenvalues(scale, basis.eigenvalues)
+        lower, whole = _lower_bound(C[:, 1:], C[:, 0], basis.vectors.conj(), modes)
+        lower, whole = lower - backward, whole - backward
+    shifts = modes if given is None else given
+    if whole > tol:
+        ranks, result = np.full(shifts.size, n), KalmanResult(controllable=True, rank=n)
+    else:
+        form = _reduce(C, scale, tol)
+        if given is not None:
+            lower = _extend(lower, modes, given)
+        if pbh or form.k == n:
+            ranks, lower = _ranks(form.form, shifts, lower, tol)
+        result = _kalman(form, shifts, lower) if kalman else None
+    if not pbh:
+        return None, result
+    ranks = tuple(int(r) for r in ranks)
+    return PbhEigenvalueResult(controllable=all(r == n for r in ranks), ranks=ranks), result
+
+
+def pbh_eigenvalue_test(
+    A, b, eigenvalues, rank_tol: float | None = None
+) -> PbhEigenvalueResult:
+    """rank([A - lambda I | b]) = n for every supplied eigenvalue.
+
+    Checking the spectrum suffices: for any other lambda the first block
+    alone already has full rank. Each rank is that of the unitarily
+    equivalent pencil [beta e1 | H - s lambda I] of one ``staircase``
+    reduction (b scaled by t instead of s), ranked by the certificate pass
+    (``_certify``) on one ``eig`` of sA.
+    """
+    return _certify(A, b, rank_tol, eigenvalues=eigenvalues, kalman=False)[0]
+
+
 def kalman_test(A, b, rank_tol: float | None = None) -> KalmanResult:
     """Rank of [b, Ab, ..., A^(n-1) b], read off one ``staircase`` reduction.
 
     The Krylov matrix itself is never formed, so its powers cannot
-    overflow and its rank is not blurred by their growing scale. One
-    ``eig`` of sA comes first (``_modes``): when its whole-plane bound,
-    less the reduction's backward error, exceeds delta, the rank is n and
-    no reduction runs (see ``verification_report``). Otherwise, when b
-    reaches the whole form (k = n), its eigenvalues serve as the modes of
-    H with their bounds, and a reachable block with k < n takes its own
-    (see ``_kalman``).
+    overflow and its rank is not blurred by their growing scale. The
+    certificate pass (``_certify``) bounds the pencils from one ``eig`` of
+    sA.
     """
-    C, scale, tol, backward = _scaled_pair(A, b, rank_tol)
-    modes, lower, whole = _modes(C, backward)
-    if whole > tol:
-        return KalmanResult(controllable=True, rank=C.shape[0])
-    return _kalman(_reduce(C, scale, tol), modes, lower)
+    return _certify(A, b, rank_tol, pbh=False)[1]
 
 
 def verification_report(
@@ -461,54 +493,17 @@ def verification_report(
 ) -> VerificationReport:
     """Run every test the available data permits and bundle the verdicts.
 
-    With a matrix and a basis, one pass gives both the Kalman result and
-    the PBH-eigenvalue ranks, the same values ``kalman_test`` and
-    ``pbh_eigenvalue_test`` give; with a matrix alone, ``kalman_test``
-    runs. The basis bounds sigma_min of the scaled pair's pencils from
-    below (``_lower_bound``), at every PBH shift and over the whole
-    plane; the form's pencils differ from those by the reduction's
-    backward error, at most delta / 2 for the default delta (see
-    ``staircase``), which is subtracted whatever ``rank_tol`` is.
-
-    When the whole-plane bound, so lowered, exceeds delta, every PBH rank
-    is n and so is the Kalman rank, and neither the reduction nor any
-    pencil SVD runs. The report is the one the reduction would give.
-    Every pencil of the form, at any complex mu, has sigma_min above
-    delta. A |beta| or subdiagonal at or below delta, set to zero, would
-    leave an uncontrollable form within delta, singular at some mu; so
-    k = n, and every PBH shift and Kalman mode has full rank.
-
-    Otherwise ``staircase`` runs, and the PBH shifts are ranked first
-    (``_ranks``). When b reaches the whole form (k = n), the Kalman modes
-    are a second computed copy of the same spectrum, and their pencils
-    take their bounds from the shifts' (``_extend``), the sigma_min of a
-    PBH pencil that took an SVD included. So a pair ranks only the
-    pencils the basis cannot clear: those where b is nearly orthogonal to
-    a left eigenvector, or two eigenvalues nearly coincide.
+    With a matrix, one certificate pass (``_certify``) gives the Kalman
+    result and, on the basis when one is given, the PBH-eigenvalue ranks:
+    the values ``kalman_test`` and ``pbh_eigenvalue_test`` give. With a
+    basis, the PBH eigenvector test runs too.
     """
     if A is None and basis is None:
         raise ValueError("verification needs a matrix, an eigenbasis, or both")
     pbh_vec = pbh_eigenvector_test(basis, b, tau) if basis is not None else None
-    kalman = pbh_val = None
-    if A is not None and basis is None:
-        kalman = kalman_test(A, b, rank_tol)
-    elif A is not None:
-        C, scale, tol, backward = _scaled_pair(A, b, rank_tol)
-        n = C.shape[0]
-        shifts = _scaled_eigenvalues(scale, basis.eigenvalues)
-        lower, whole = _lower_bound(C[:, 1:], C[:, 0], basis.vectors.conj(), shifts)
-        if whole - backward > tol:
-            pbh_val = _pbh_eigenvalue(n, np.full(shifts.size, n))
-            kalman = KalmanResult(controllable=True, rank=n)
-        else:
-            form = _reduce(C, scale, tol)
-            ranks, lower = _ranks(form.form, shifts, lower - backward, tol)
-            pbh_val = _pbh_eigenvalue(n, ranks)
-            modes = None
-            if form.k == n:
-                modes = _decide(np.linalg.eigvals, form.form[:, 1:])
-                lower = _extend(lower, shifts, modes)
-            kalman = _kalman(form, modes, lower)
+    pbh_val = kalman = None
+    if A is not None:
+        pbh_val, kalman = _certify(A, b, rank_tol, basis, pbh=basis is not None)
     return VerificationReport(
         pbh_eigenvalue=pbh_val,
         pbh_eigenvector=pbh_vec,

@@ -470,7 +470,7 @@ class TestTextReports:
                     "command: verify",
                     "status: ok",
                     "input: {path} (n=5)",
-                    "method: kalman result: {{'controllable': True, 'rank': 5}}",
+                    "method: kalman controllable: True rank: 5",
                 ],
             ),
             (
@@ -480,8 +480,18 @@ class TestTextReports:
                     "command: verify",
                     "status: not-controllable",
                     "input: {path} (n=5)",
-                    "method: pbh-eig result: "
-                    "{{'controllable': False, 'ranks': [5, 4, 4, 4, 5]}}",
+                    "method: pbh-eig controllable: False ranks: [5, 4, 4, 4, 5]",
+                ],
+            ),
+            (
+                ["verify", "--method", "pbh-vec", "--vector", "0,1,1,1,0"],
+                0,
+                [
+                    "command: verify",
+                    "status: ok",
+                    "input: {path} (n=5)",
+                    "method: pbh-vec controllable: True violator: None "
+                    "min_inner: 0.57735026919",
                 ],
             ),
             (
@@ -523,6 +533,7 @@ class TestTextReports:
             "solve-mscp",
             "verify-kalman",
             "verify-pbh-eig",
+            "verify-pbh-vec",
             "oracle",
             "compare",
             "eig",
@@ -617,6 +628,52 @@ class TestVerifyCommand:
         assert code == 0
         assert report["status"] == "ok"
         assert report["result"] == {"controllable": True, "rank": 3}
+
+    @pytest.mark.parametrize(
+        "method, vector, pinned",
+        [
+            ("kalman", "0,1,1,1,0", "kalman"),
+            ("pbh-vec", "0,1,1,1,0", "pbh-vec"),
+            ("pbh-eig", "0,1,1,1,0", "pbh-eig"),
+            ("pbh-eig", "1,0,0,0,0", "pbh-eig_e1"),
+        ],
+    )
+    def test_pinned_json(self, capsys, monkeypatch, method, vector, pinned):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["verify", "tests/data/golden5.json", "--method", method, "--vector", vector]
+        code = run_command([*argv, "--json", "--no-timings"])
+        assert code == (vector == "1,0,0,0,0")
+        assert capsys.readouterr().out == (DATA_DIR / f"golden5_verify_{pinned}.json").read_text()
+
+    @pytest.mark.parametrize("vector", ["0,1,1,1,0", "1,0,0,0,0"])
+    def test_pbh_eig_solves_the_eigenbasis_once(self, capsys, tmp_path, monkeypatch, vector):
+        # The basis the command resolves also bounds the PBH pencils, on
+        # a pair the gate clears and on one it reduces; a basis read from
+        # the file takes no eig at all.
+        matrix = [[float(x) for x in row] for row in GOLDEN_A]
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"matrix": matrix}))
+        with_basis = tmp_path / "with_basis.json"
+        basis = {
+            "eigenvalues": [float(x) for x in GOLDEN_EIGENVALUES],
+            "vectors": [[float(x) for x in row] for row in GOLDEN_LEFT_EIGENVECTORS],
+        }
+        with_basis.write_text(json.dumps({"matrix": matrix, "eigenbasis": basis}))
+        calls, eig = [], np.linalg.eig
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        results = []
+        for path in (plain, with_basis):
+            argv = ["verify", str(path), "--method", "pbh-eig", "--vector", vector]
+            code, report = run_json(capsys, *argv)
+            results.append(report["result"])
+            assert code == (vector == "1,0,0,0,0")
+        assert calls == [(5, 5)]
+        assert results[0] == results[1]
 
 
 class TestScaledInputs:
@@ -776,6 +833,7 @@ class TestTolerancePrecedence:
             "zero_tol": 1e-8,
             "tau": 1e-11,
         }
+        assert self.tolerances(capsys, command, str(plain), *flags) == self.FLAGS
         assert self.tolerances(capsys, command, str(with_file)) == self.FILE
         assert self.tolerances(capsys, command, str(with_file), *flags) == self.FLAGS
 

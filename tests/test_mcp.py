@@ -29,6 +29,7 @@ from mincontrol import (
     structural_pattern,
     support_from_cover,
 )
+from mincontrol import mcp
 from conftest import (
     GOLDEN_COVER_SETS,
     GOLDEN_EIGENVALUES,
@@ -195,20 +196,9 @@ class TestRealize:
         for v in vectors:
             assert abs(np.vdot(v, b)) > 1e-10 * np.linalg.norm(v) * np.linalg.norm(b)
 
-    def test_custom_multipliers(self, golden_basis):
-        cfg = RealizationConfig(alpha=(1.0, 2.0, 1.0, 0.5, 1.0))
-        pattern = StructuralVector.from_text("0***0")
-        b, _ = realize_with_stats(pattern, golden_basis.vectors, cfg)
-        assert all(b[i] != 0 for i in (1, 2, 3))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RealizationConfig(eps1=0.0)
-        with pytest.raises(ValueError):
             RealizationConfig(tau=-1.0)
-        with pytest.raises(DimensionMismatch):
-            RealizationConfig(alpha=(1.0, 2.0)).multipliers(3)
-
 
 
 def reference_realize(pattern, vectors, cfg=None, zero_tol=1e-9):
@@ -242,15 +232,14 @@ def reference_realize(pattern, vectors, cfg=None, zero_tol=1e-9):
         head = bp if upto is None else bp[:upto]
         return [k for k, x in enumerate(head) if abs(x) <= cfg.tau * peak]
 
-    alphas = cfg.multipliers(len(vecs))
     bp = np.zeros(p, dtype=complex)
     step3 = []
     for j in range(len(vecs)):
-        bp = bp + alphas[j] * restricted[j]
+        bp = bp + mcp.ALPHA * restricted[j]
         count = 0
         viol = violation(bp, restricted[: j + 1])
         while viol is not None and count < j + 2:
-            bp = bp + cfg.eps1 * restricted[viol]
+            bp = bp + mcp.EPS1 * restricted[viol]
             count += 1
             viol = violation(bp, restricted[: j + 1])
         if viol is not None:
@@ -272,7 +261,7 @@ def reference_realize(pattern, vectors, cfg=None, zero_tol=1e-9):
             direction = np.zeros(p, dtype=complex)
             direction[k] = 1.0
         for mult in range(1, bound + 1):
-            bp = bp + cfg.eps2 * direction
+            bp = bp + mcp.EPS2 * direction
             if not zero_entries(bp, upto=k + 1) and violation(bp, restricted) is None:
                 step4[pos] = mult
                 break

@@ -44,6 +44,23 @@ class TestBruteForce:
         with pytest.raises(NotSimple):
             brute_force_mcp(np.eye(4))
 
+    def test_eigenbasis_solved_once(self, monkeypatch, golden_a):
+        # Every candidate support is certified on the oracle's own basis:
+        # one eig per call, however many candidates there are.
+        rng = np.random.default_rng(56)
+        calls, eig = [], np.linalg.eig
+
+        def spy(X, *args, **kwargs):
+            calls.append(X.shape)
+            return eig(X, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        for A in (golden_a, random_simple_matrix(rng, 6)):
+            calls.clear()
+            result = brute_force_mcp(A)
+            assert len(result.optimal_supports) > 1 and all(result.kalman_verdicts)
+            assert calls == [A.shape]
+
     def test_supports_reported_in_lexicographic_order(self, golden_a):
         result = brute_force_mcp(golden_a)
         assert list(result.optimal_supports) == sorted(result.optimal_supports)

@@ -958,6 +958,62 @@ class TestWholePlaneGate:
             assert reductions == [100]
 
 
+def spy_calls(monkeypatch, name):
+    """Spy on ``np.linalg.<name>``: the list holds each call's matrix shape."""
+    calls, original = [], getattr(np.linalg, name)
+
+    def spy(X, *args, **kwargs):
+        calls.append(X.shape)
+        return original(X, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestOnePass:
+    """Every verdict comes from one certificate pass, which computes only
+    what its caller reports."""
+
+    @pytest.mark.parametrize(
+        "b, bounded, k, modes",
+        [(np.eye(5)[1], True, 2, 0), (B_WORKED, False, 5, 1)],
+        ids=["unreachable", "reached"],
+    )
+    def test_kalman_modes_only_where_kalman_is_reported(
+        self, monkeypatch, golden_a, integer_basis, b, bounded, k, modes
+    ):
+        # golden with e2 fails the gate and is reduced to k = 2; golden
+        # with B_WORKED, its bounds withheld, to k = n. The PBH test ranks
+        # its shifts once and takes no eigvals of the form. Under the one
+        # Kalman rule the other two rank the form's own modes, eigvals(H),
+        # at k = n, with bounds from the ranked shifts; at k < n the
+        # reachable block's modes, and kalman_test ranks no shift.
+        for test, ranked, eigvals_calls in (
+            (lambda: pbh_eigenvalue_test(golden_a, b, GOLDEN_EIGENVALUES), 1, 0),
+            (lambda: kalman_test(golden_a, b), 1 + modes, modes),
+            (lambda: verification_report(b, A=golden_a, basis=integer_basis), 2, modes),
+        ):
+            if not bounded:
+                monkeypatch.setattr(verify, "_lower_bound", zero_bound)
+            reductions = spy_staircase(monkeypatch)
+            calls = spy_pencil_svds(monkeypatch)
+            eigvals = spy_calls(monkeypatch, "eigvals")
+            test()
+            monkeypatch.undo()
+            assert reductions == [k]
+            assert (len(calls), len(eigvals)) == (ranked, eigvals_calls)
+
+    def test_verification_report_solves_no_eigenbasis(self, monkeypatch, golden_a):
+        # The report bounds its pencils from the basis it is given, on a
+        # pair the gate clears and on one it reduces; only the latter's
+        # reachable block (k = 2) takes an eig of its own.
+        basis = left_eigenbasis(golden_a)
+        eig = spy_calls(monkeypatch, "eig")
+        for b in (B_WORKED, np.eye(5)[1]):
+            verification_report(b, A=golden_a, basis=basis)
+        assert eig == [(2, 2)]
+
+
 class TestStaircase:
     def test_degenerate_pairs(self):
         assert verify.staircase(np.eye(3), np.zeros(3)).k == 0
