@@ -9,7 +9,6 @@ from .errors import (
     DimensionError,
     DimensionMismatch,
     EigensolveFailed,
-    EmptySupport,
     IndexOutOfRange,
     Infeasible,
     MincontrolError,
@@ -35,17 +34,14 @@ from .mcp import (
 from .numerics import (
     LeftEigenbasis,
     check_residuals,
-    controllability_matrix,
     is_simple,
     left_eigenbasis,
-    numerical_rank,
     perturb_nonzero,
 )
 from .oracle import OracleResult, brute_force_mcp
 from .setcover import (
     CoverSolution,
     SetCoverInstance,
-    is_cover,
     solve_exact,
     solve_greedy,
 )
@@ -61,9 +57,7 @@ from .structural import (
 from .structure import (
     StructuralMatrix,
     StructuralVector,
-    restrict,
     structural_geq,
-    structural_inner,
     structural_pattern,
 )
 from .tolerances import Tolerances
@@ -84,7 +78,6 @@ __all__ = [
     "DimensionError",
     "DimensionMismatch",
     "EigensolveFailed",
-    "EmptySupport",
     "IndexOutOfRange",
     "Infeasible",
     "MincontrolError",
@@ -106,16 +99,13 @@ __all__ = [
     "support_from_cover",
     "LeftEigenbasis",
     "check_residuals",
-    "controllability_matrix",
     "is_simple",
     "left_eigenbasis",
-    "numerical_rank",
     "perturb_nonzero",
     "OracleResult",
     "brute_force_mcp",
     "CoverSolution",
     "SetCoverInstance",
-    "is_cover",
     "solve_exact",
     "solve_greedy",
     "SccDag",
@@ -127,9 +117,7 @@ __all__ = [
     "state_digraph",
     "StructuralMatrix",
     "StructuralVector",
-    "restrict",
     "structural_geq",
-    "structural_inner",
     "structural_pattern",
     "Tolerances",
     "KalmanResult",

@@ -51,6 +51,9 @@ PERTURB_ZERO_TOL_FACTOR = 1e-3
 
 _TOL_KEYS = tuple(f.name for f in fields(Tolerances))
 
+#: A report's ``eigenbasis_source`` for each ``LeftEigenbasis.source``.
+_BASIS_SOURCE = {"user-supplied": "file", "computed": "computed"}
+
 #: Entry types a JSON number decodes to; ``bool`` is deliberately absent.
 _NUMBER_TYPES = {int, float}
 
@@ -58,7 +61,7 @@ _NUMBER_TYPES = {int, float}
 # ---------------------------------------------------------------------------
 # problem files
 
-@dataclass
+@dataclass(eq=False)
 class ProblemFile:
     """Validated problem input: matrix, optional eigenbasis, tolerance overrides."""
 
@@ -71,21 +74,6 @@ class ProblemFile:
     @property
     def has_eigenbasis(self) -> bool:
         return self.eigenvalues is not None
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        def same(a, b):
-            if (a is None) != (b is None):
-                return False
-            return a is None or np.array_equal(a, b)
-        return (
-            self.n == other.n
-            and same(self.matrix, other.matrix)
-            and same(self.eigenvalues, other.eigenvalues)
-            and same(self.eigenvectors, other.eigenvectors)
-            and self.tolerance_overrides == other.tolerance_overrides
-        )
 
 
 def _decode_entry(raw, where: str) -> complex:
@@ -230,24 +218,6 @@ def _complex2j(v) -> list:
     return np.stack([v.real, v.imag], -1).tolist()
 
 
-def problem_to_dict(pf: ProblemFile) -> dict:
-    doc = {"n": pf.n, "matrix": _complex2j(pf.matrix)}
-    if pf.has_eigenbasis:
-        doc["eigenbasis"] = {
-            "eigenvalues": _complex2j(pf.eigenvalues),
-            "vectors": _complex2j(pf.eigenvectors),
-        }
-    if pf.tolerance_overrides:
-        doc["tolerances"] = dict(sorted(pf.tolerance_overrides.items()))
-    return doc
-
-
-def save_problem(pf: ProblemFile, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(pf), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _matrix_digest(matrix) -> str:
     """SHA-256 of ``_complex2j(matrix)`` as compact JSON.
 
@@ -284,20 +254,16 @@ def _effective_tolerances(args, pf: ProblemFile) -> Tolerances:
 
 def _resolve_basis(
     pf: ProblemFile, matrix, tol: Tolerances, allow_file_basis: bool = True
-) -> tuple[LeftEigenbasis, str]:
+) -> LeftEigenbasis:
     if pf.has_eigenbasis and allow_file_basis:
-        basis = LeftEigenbasis.from_pairs(
+        return LeftEigenbasis.from_pairs(
             pf.eigenvalues,
             pf.eigenvectors,
             A=matrix,
             residual_tol=tol.residual_tol,
             gap_tol=tol.gap_tol,
         )
-        return basis, "file"
-    return (
-        left_eigenbasis(matrix, residual_tol=tol.residual_tol, gap_tol=tol.gap_tol),
-        "computed",
-    )
+    return left_eigenbasis(matrix, residual_tol=tol.residual_tol, gap_tol=tol.gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +341,7 @@ def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
                 zero_tol=min(DEFAULT_ZERO_TOL, args.perturb * PERTURB_ZERO_TOL_FACTOR)
             )
             report["tolerances"] = tol.as_dict()
-    basis, basis_source = _resolve_basis(
-        pf, matrix, tol, allow_file_basis=args.perturb is None
-    )
+    basis = _resolve_basis(pf, matrix, tol, allow_file_basis=args.perturb is None)
     code = 0
     try:
         solution = _solve(matrix, basis, tol, args.mode, args.exact_limit)
@@ -388,7 +352,7 @@ def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     instance = solution.cover_instance
     report.update(
         {
-            "eigenbasis_source": basis_source,
+            "eigenbasis_source": _BASIS_SOURCE[basis.source],
             "eigenvalues": _complex2j(basis.eigenvalues),
             "eigenvector_patterns": [str(p) for p in solution.eigenvector_patterns],
             "cover_instance": {
@@ -437,7 +401,7 @@ def _cmd_verify(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     if args.method == "kalman":
         res = kalman_test(pf.matrix, b, tol.rank_tol)
     else:
-        basis = _resolve_basis(pf, pf.matrix, tol)[0]
+        basis = _resolve_basis(pf, pf.matrix, tol)
         if args.method == "pbh-eig":
             res = _certify(pf.matrix, b, tol.rank_tol, basis, kalman=False)[0]
         else:
@@ -472,7 +436,7 @@ def _cmd_oracle(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 def _cmd_compare(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     dag = _mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
     mscp_pattern = _sparsest_input(dag)
-    basis, _ = _resolve_basis(pf, pf.matrix, tol)
+    basis = _resolve_basis(pf, pf.matrix, tol)
     solution = _solve(pf.matrix, basis, tol, "exact", args.exact_limit)
     witness = _compatible_input(dag, solution.pattern)
     report.update(
@@ -499,11 +463,11 @@ def _cmd_compare(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 
 
 def _cmd_eig(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
-    basis, basis_source = _resolve_basis(pf, pf.matrix, tol)
+    basis = _resolve_basis(pf, pf.matrix, tol)
     patterns = _patterns(_nonzero_mask(basis.vectors, tol.zero_tol))
     report.update(
         {
-            "eigenbasis_source": basis_source,
+            "eigenbasis_source": _BASIS_SOURCE[basis.source],
             "eigenvalues": _complex2j(basis.eigenvalues),
             "eigenvectors": _complex2j(basis.vectors),
             "eigenvector_patterns": [str(p) for p in patterns],

@@ -24,13 +24,9 @@ class EigensolveFailed(MincontrolError):
 class NumericalBreakdown(MincontrolError):
     """A dense linear-algebra step failed or met non-finite values.
 
-    Typically an intermediate such as the Krylov matrix overflowed; the
-    input itself was valid, so this is not a ValueError.
+    Typically an SVD or eigensolve that did not converge; the input
+    itself was valid, so this is not a ValueError.
     """
-
-
-class EmptySupport(MincontrolError, ValueError):
-    """A structural vector with at least one nonzero position was required."""
 
 
 class ZeroPattern(MincontrolError):

@@ -65,8 +65,8 @@ class RealizationConfig:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:  # NaN fails too
+            raise ValueError("tau must be positive and finite")
 
 
 @dataclass(frozen=True)

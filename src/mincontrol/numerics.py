@@ -1,8 +1,7 @@
-"""Complex dense linear algebra: left-eigenbases, rank, reachability matrix.
+"""Complex dense linear algebra: left-eigenbases and their validation.
 
-Matrices and vectors are plain numpy arrays (complex128; a real matrix
-is ranked in float64); the validators here enforce the shape/finiteness
-invariants at operation boundaries.
+Matrices and vectors are plain numpy arrays (complex128); the validators
+here enforce the shape/finiteness invariants at operation boundaries.
 The eigensolve relies on LAPACK's dense nonsymmetric driver via
 ``numpy.linalg.eig``, which is the standard Hessenberg + shifted-QR
 route; left eigenvectors are obtained as right eigenvectors of the
@@ -62,8 +61,8 @@ def is_simple(eigenvalues, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
     lam = np.asarray(eigenvalues, dtype=complex).ravel()
     if lam.size == 0:
         raise DimensionMismatch("eigenvalue sequence must be nonempty")
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
+    if not 0 < gap_tol < np.inf:  # NaN fails too
+        raise ValueError("gap_tol must be positive and finite")
     if lam.size == 1:
         return True
     diffs = np.abs(lam[:, None] - lam[None, :])
@@ -226,55 +225,18 @@ def left_eigenbasis(
     return basis
 
 
-def numerical_rank(M, rank_tol: float | None = None) -> int:
-    """Number of singular values above ``rank_tol * sigma_max``.
-
-    ``rank_tol=None`` uses ``eps * max(rows, cols)``. The zero matrix has
-    rank 0. A real (boolean, integer or floating) M stays real, so its
-    SVD runs in real arithmetic (float64); anything else is decided in
-    complex128. Raises NumericalBreakdown when M has non-finite entries
-    or the SVD does not converge.
-    """
-    M = np.asarray(M)
-    M = M.astype(float if M.dtype.kind in "biuf" else complex, copy=False)
-    if M.ndim != 2 or M.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise NumericalBreakdown(
-            f"{M.shape[0]}x{M.shape[1]} matrix has non-finite entries "
-            "(an intermediate overflowed); its numerical rank is undefined"
-        )
-    if rank_tol is None:
-        rank_tol = np.finfo(float).eps * max(M.shape)
-    try:
-        s = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
-
-
-def controllability_matrix(A, b) -> np.ndarray:
-    """The n x n matrix [b, Ab, ..., A^(n-1) b]."""
-    A = as_square_matrix(A)
-    n = A.shape[0]
-    b = as_vector(b, n)
-    C = np.empty((n, n), dtype=complex)
-    C[:, 0] = b
-    for k in range(1, n):
-        C[:, k] = A @ C[:, k - 1]
-    return C
-
-
 def perturb_nonzero(A, magnitude: float, seed: int) -> np.ndarray:
     """Add iid uniform noise on [-magnitude, magnitude] to each nonzero entry.
 
-    Deterministic for a given seed. Real matrices stay real.
+    Deterministic for a given seed. Real matrices stay real. The range
+    [-magnitude, magnitude] must have a finite width, so magnitude is at
+    most half the largest float.
     """
     A = np.asarray(A)
-    if magnitude < 0:
-        raise ValueError("magnitude must be nonnegative")
+    if not 0 <= magnitude <= np.finfo(float).max / 2:  # NaN fails too
+        raise ValueError(
+            "magnitude must be nonnegative, finite and at most half the largest float"
+        )
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-magnitude, magnitude, A.shape)
     out = np.array(A, dtype=complex if np.iscomplexobj(A) else float, copy=True)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
-from .errors import IndexOutOfRange, TooLarge
+from .errors import TooLarge
 
 #: Largest universe the exact solver accepts by default.
 EXACT_UNIVERSE_LIMIT = 30
@@ -65,18 +64,6 @@ class CoverSolution:
     @property
     def sorted_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.indices))
-
-
-def is_cover(instance: SetCoverInstance, indices: Iterable[int]) -> bool:
-    """Whether the union of the chosen sets equals the universe."""
-    chosen = set(indices)
-    for i in chosen:
-        if not 1 <= i <= instance.n_sets:
-            raise IndexOutOfRange(f"set index {i} outside 1..{instance.n_sets}")
-    covered = set()
-    for i in chosen:
-        covered |= instance.sets[i - 1]
-    return covered == instance.universe
 
 
 def _incidence(instance: SetCoverInstance) -> np.ndarray:

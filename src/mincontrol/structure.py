@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySupport, IndexOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange
 from .tolerances import DEFAULT_ZERO_TOL
 
 _STAR = "*"
@@ -176,8 +176,8 @@ def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
     """
     if not np.isfinite(V).all():
         raise ValueError("vector entries must be finite")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    if not 0 <= zero_tol < np.inf:  # NaN fails too
+        raise ValueError("zero_tol must be nonnegative and finite")
     mags, peak = _magnitudes(V)
     return mags > zero_tol * peak
 
@@ -211,25 +211,8 @@ def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:
     return mags, peak
 
 
-def structural_inner(v: StructuralVector, w: StructuralVector) -> bool:
-    """True (star) iff some position is a star in both patterns."""
-    if len(v) != len(w):
-        raise DimensionMismatch(f"lengths differ: {len(v)} vs {len(w)}")
-    return any(a and b for a, b in zip(v.mask, w.mask))
-
-
 def structural_geq(v: StructuralVector, w: StructuralVector) -> bool:
     """True iff every star of w is also a star of v."""
     if len(v) != len(w):
         raise DimensionMismatch(f"lengths differ: {len(v)} vs {len(w)}")
     return all(a or not b for a, b in zip(v.mask, w.mask))
-
-
-def restrict(v, pattern: StructuralVector) -> np.ndarray:
-    """Subvector of v at the pattern's star positions, order preserved."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size != len(pattern):
-        raise DimensionMismatch(f"vector length {v.size} != pattern length {len(pattern)}")
-    if pattern.nnz == 0:
-        raise EmptySupport("pattern has no star positions")
-    return v[np.asarray(pattern.mask, dtype=bool)]

@@ -6,6 +6,7 @@ always embed the values actually used.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -25,6 +26,9 @@ _ENV_PREFIX = "MINCONTROL_TOL_"
 class Tolerances:
     """Bundle of the five tolerances used across the pipeline.
 
+    Every tolerance must be finite and of the right sign, or a
+    ValueError names it.
+
     ``rank_tol=None`` means the staircase default ``4 * n * eps``
     (relative to ||sA||_F, A scaled by a power of two; see
     ``verify.staircase``).
@@ -37,13 +41,14 @@ class Tolerances:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
+        # Chained comparisons with NaN are false, so NaN fails each check.
         for name in ("residual_tol", "gap_tol", "tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
-        if self.rank_tol is not None and self.rank_tol <= 0:
-            raise ValueError("rank_tol must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.zero_tol < math.inf:
+            raise ValueError("zero_tol must be nonnegative and finite")
+        if self.rank_tol is not None and not 0 < self.rank_tol < math.inf:
+            raise ValueError("rank_tol must be positive and finite")
 
     @classmethod
     def from_env(cls, environ=None) -> "Tolerances":

@@ -79,3 +79,66 @@ def random_simple_matrix(rng, n, gap_tol=1e-6):
         A = rng.uniform(-1.0, 1.0, (n, n))
         if is_simple(np.linalg.eigvals(A), gap_tol):
             return A
+
+
+# Reference oracles. The package decides controllability on the staircase
+# form and never forms the Krylov matrix; these rank it directly, the way
+# the paper states the Kalman test, for the suites to compare against.
+
+def numerical_rank(M, rank_tol=None) -> int:
+    """Number of singular values above ``rank_tol * sigma_max``.
+
+    ``rank_tol=None`` uses ``eps * max(rows, cols)``. The zero matrix has
+    rank 0. A real (boolean, integer or floating) M stays real, so its
+    SVD runs in real arithmetic (float64); anything else is decided in
+    complex128. Raises NumericalBreakdown when M has non-finite entries
+    or the SVD does not converge.
+    """
+    from mincontrol import DimensionMismatch, NumericalBreakdown
+
+    M = np.asarray(M)
+    M = M.astype(float if M.dtype.kind in "biuf" else complex, copy=False)
+    if M.ndim != 2 or M.size == 0:
+        raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericalBreakdown(
+            f"{M.shape[0]}x{M.shape[1]} matrix has non-finite entries "
+            "(an intermediate overflowed); its numerical rank is undefined"
+        )
+    if rank_tol is None:
+        rank_tol = np.finfo(float).eps * max(M.shape)
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"rank decision failed: {exc}") from exc
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > rank_tol * s[0]))
+
+
+def controllability_matrix(A, b) -> np.ndarray:
+    """The n x n matrix [b, Ab, ..., A^(n-1) b]."""
+    from mincontrol.numerics import as_square_matrix, as_vector
+
+    A = as_square_matrix(A)
+    n = A.shape[0]
+    b = as_vector(b, n)
+    C = np.empty((n, n), dtype=complex)
+    C[:, 0] = b
+    for k in range(1, n):
+        C[:, k] = A @ C[:, k - 1]
+    return C
+
+
+def is_cover(instance, indices) -> bool:
+    """Whether the union of the chosen (1-based) sets equals the universe."""
+    from mincontrol import IndexOutOfRange
+
+    chosen = set(indices)
+    for i in chosen:
+        if not 1 <= i <= instance.n_sets:
+            raise IndexOutOfRange(f"set index {i} outside 1..{instance.n_sets}")
+    covered = set()
+    for i in chosen:
+        covered |= instance.sets[i - 1]
+    return covered == instance.universe

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from mincontrol import DimensionError, ParseError, cli
 from mincontrol.cli import (
-    ProblemFile,
     _matrix_digest,
     _write_json,
     load_problem,
-    problem_to_dict,
     run_command,
-    save_problem,
 )
 from conftest import (
     DATA_DIR,
@@ -114,27 +111,6 @@ class TestLoadProblem:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_problem(str(tmp_path / "absent.json"))
-
-    def test_round_trip(self, tmp_path):
-        pf = ProblemFile(
-            n=5,
-            matrix=GOLDEN_A.astype(complex),
-            eigenvalues=GOLDEN_EIGENVALUES.astype(complex),
-            eigenvectors=GOLDEN_LEFT_EIGENVECTORS.astype(complex),
-            tolerance_overrides={"zero_tol": 1e-8},
-        )
-        path = tmp_path / "round.json"
-        save_problem(pf, str(path))
-        again = load_problem(str(path))
-        assert again == pf
-        save_problem(again, str(tmp_path / "round2.json"))
-        assert (tmp_path / "round.json").read_text() == (
-            tmp_path / "round2.json"
-        ).read_text()
-
-    def test_problem_to_dict_encodes_pairs(self):
-        pf = ProblemFile(n=1, matrix=np.array([[1 + 2j]]))
-        assert problem_to_dict(pf)["matrix"] == [[[1.0, 2.0]]]
 
     def test_mixed_numbers_and_pairs(self, tmp_path):
         path = tmp_path / "problem.json"
@@ -363,6 +339,13 @@ class TestSolveMcpCommand:
 
     def test_bad_flag_exits_two(self, capsys, golden_path):
         assert run_command(["solve-mcp", golden_path, "--mode", "quantum"]) == 2
+
+    @pytest.mark.parametrize("magnitude", ["-1", "nan", "inf", "1e308", "8.99e307"])
+    def test_perturb_range_must_be_finite(self, capsys, golden_path, magnitude):
+        # Past half the largest float, [-MAG, MAG] is wider than the float
+        # range and numpy's uniform raised a bare OverflowError.
+        assert run_command(["solve-mcp", golden_path, "--perturb", magnitude]) == 2
+        assert capsys.readouterr().err.startswith("error: magnitude must be nonnegative")
 
     def test_overflowing_krylov_matrix_keeps_support(self, capsys, tmp_path):
         # [b, Ab, A^2 b] would overflow, but the staircase never forms it:
@@ -761,6 +744,41 @@ class TestToleranceResolution:
     def test_bad_env_value_exits_two(self, capsys, golden_path, monkeypatch):
         monkeypatch.setenv("MINCONTROL_TOL_ZERO", "soft")
         assert run_command(["eig", golden_path]) == 2
+
+
+class TestNonFiniteTolerances:
+    """A NaN or infinite tolerance is an input error, from every source."""
+
+    ENV = {
+        "residual_tol": "MINCONTROL_TOL_RESIDUAL",
+        "gap_tol": "MINCONTROL_TOL_GAP",
+        "rank_tol": "MINCONTROL_TOL_RANK",
+        "zero_tol": "MINCONTROL_TOL_ZERO",
+        "tau": "MINCONTROL_TOL_ORTHO",
+    }
+
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", list(ENV))
+    def test_exits_two(self, capsys, tmp_path, monkeypatch, name, value, source):
+        # e1 is orthogonal to golden's eigenvector 2, so this exits 1 at the
+        # defaults; under tau=NaN every inner product passed, and it exited 0.
+        for key in self.ENV.values():
+            monkeypatch.delenv(key, raising=False)
+        doc = {"matrix": [[float(x) for x in row] for row in GOLDEN_A]}
+        flags = []
+        if source == "flag":
+            flags = ["--" + name.replace("_", "-"), value]
+        elif source == "env":
+            monkeypatch.setenv(self.ENV[name], value)
+        else:
+            doc["tolerances"] = {name: float(value)}  # written as NaN / Infinity
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", str(path), "--method", "pbh-vec", "--vector", "1,0,0,0,0"]
+        assert run_command(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be") and "finite" in err
 
 
 #: Extra arguments each subcommand needs on the golden system.

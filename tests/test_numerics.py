@@ -8,10 +8,8 @@ from mincontrol import (
     NotSimple,
     NumericalBreakdown,
     check_residuals,
-    controllability_matrix,
     is_simple,
     left_eigenbasis,
-    numerical_rank,
     perturb_nonzero,
 )
 from mincontrol.numerics import _PHASE_TOL
@@ -19,6 +17,8 @@ from conftest import (
     GOLDEN_EIGENVALUES,
     GOLDEN_KRYLOV_ROWS,
     GOLDEN_LEFT_EIGENVECTORS,
+    controllability_matrix,
+    numerical_rank,
     random_simple_matrix,
 )
 
@@ -299,6 +299,11 @@ class TestIsSimple:
         assert not is_simple(np.zeros(4), gap_tol=1e-9)
         assert is_simple([0.0], gap_tol=1e-9)
 
+    @pytest.mark.parametrize("gap_tol", [0.0, -1e-9, np.nan, np.inf])
+    def test_gap_tol_must_be_positive_and_finite(self, gap_tol):
+        with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
+            is_simple([1.0, 2.0], gap_tol)
+
 
 class TestNumericalRank:
     def test_worked_reachability_rows(self):
@@ -455,3 +460,14 @@ class TestPerturbNonzero:
         delta = np.abs(out - golden_a)
         assert delta.max() <= 1e-10
         assert delta[golden_a != 0].min() > 0
+
+    @pytest.mark.parametrize("magnitude", [-1.0, np.nan, np.inf, 1e308, 8.99e307])
+    def test_range_must_be_finite(self, golden_a, magnitude):
+        # [-magnitude, magnitude] wider than the float range made numpy's
+        # uniform raise OverflowError.
+        with pytest.raises(ValueError, match="magnitude must be nonnegative, finite"):
+            perturb_nonzero(golden_a, magnitude, seed=0)
+
+    def test_widest_finite_range(self, golden_a):
+        out = perturb_nonzero(golden_a, np.finfo(float).max / 2, seed=0)
+        assert np.isfinite(out).all()

@@ -10,12 +10,12 @@ from mincontrol import (
     SetCoverInstance,
     TooLarge,
     build_cover_instance,
-    is_cover,
     left_eigenbasis,
     solve_exact,
     solve_greedy,
     structural_pattern,
 )
+from conftest import is_cover
 
 # The worked instance: position sets over the eigenvector universe {1..5}.
 WORKED = SetCoverInstance(

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from mincontrol import (
     DimensionMismatch,
-    EmptySupport,
     IndexOutOfRange,
     StructuralMatrix,
     StructuralVector,
-    restrict,
     structural_geq,
-    structural_inner,
     structural_pattern,
 )
 from mincontrol.structure import _nonzero_mask
@@ -54,6 +51,11 @@ class TestStructuralPattern:
         with pytest.raises(ValueError):
             structural_pattern([np.inf, 1.0])
 
+    @pytest.mark.parametrize("zero_tol", [-1e-9, np.nan, np.inf])
+    def test_zero_tol_must_be_nonnegative_and_finite(self, zero_tol):
+        with pytest.raises(ValueError, match="zero_tol must be nonnegative and finite"):
+            structural_pattern([1.0, 0.0], zero_tol)
+
     def test_overflowing_modulus_is_a_star(self):
         # |z| of the first entry overflows to inf; its parts are finite.
         huge = complex(1.5e308, 1.5e308)
@@ -64,34 +66,6 @@ class TestStructuralPattern:
             [True, True, False],
             [True, False, False],
         ]
-
-
-class TestStructuralInner:
-    def test_worked_overlap(self):
-        v2 = StructuralVector.from_text("00*0*")
-        b = StructuralVector.from_text("0***0")
-        assert structural_inner(v2, b)
-
-    def test_disjoint(self):
-        assert not structural_inner(
-            StructuralVector.from_text("*0"), StructuralVector.from_text("0*")
-        )
-
-    def test_worked_singleton(self):
-        v3 = StructuralVector.from_text("000*0")
-        b = StructuralVector.from_text("0***0")
-        assert structural_inner(v3, b)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            structural_inner(
-                StructuralVector.from_text("*0"), StructuralVector.from_text("*00")
-            )
-
-    @given(paired_patterns())
-    def test_symmetric(self, pair):
-        v, w = pair
-        assert structural_inner(v, w) == structural_inner(w, v)
 
 
 class TestStructuralGeq:
@@ -129,46 +103,6 @@ class TestStructuralGeq:
         u, v, w = triple
         if structural_geq(u, v) and structural_geq(v, w):
             assert structural_geq(u, w)
-
-
-class TestRestrict:
-    def test_worked_example(self):
-        out = restrict(
-            np.array([1.0, 1.0, 0.0, 0.0, 1.0]), StructuralVector.from_text("0***0")
-        )
-        np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
-
-    def test_full_support_is_identity(self):
-        v = np.array([3.0, -1.0, 2.5])
-        np.testing.assert_array_equal(restrict(v, StructuralVector.from_text("***")), v)
-
-    def test_single_position(self):
-        np.testing.assert_array_equal(
-            restrict(np.array([7.0, 8.0, 9.0]), StructuralVector.from_text("00*")),
-            [9.0],
-        )
-
-    def test_empty_support(self):
-        with pytest.raises(EmptySupport):
-            restrict(np.array([1.0, 2.0]), StructuralVector.from_text("00"))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            restrict(np.array([1.0, 2.0]), StructuralVector.from_text("*00"))
-
-    @given(paired_patterns(6))
-    def test_support_bound(self, pair):
-        pattern, value_pattern = pair
-        if pattern.nnz == 0:
-            return
-        v = np.array([1.0 if m else 0.0 for m in value_pattern.mask])
-        out = restrict(v, pattern)
-        nnz_out = int(np.count_nonzero(out))
-        assert nnz_out <= pattern.nnz
-        dense_everywhere = all(
-            value_pattern.mask[i] for i in range(len(pattern)) if pattern.mask[i]
-        )
-        assert (nnz_out == pattern.nnz) == dense_everywhere
 
 
 class TestStructuralVectorType:

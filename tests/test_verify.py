@@ -7,10 +7,8 @@ from mincontrol import (
     KalmanResult,
     LeftEigenbasis,
     brute_force_mcp,
-    controllability_matrix,
     kalman_test,
     left_eigenbasis,
-    numerical_rank,
     pbh_eigenvalue_test,
     pbh_eigenvector_test,
     solve_mcp,
@@ -18,7 +16,13 @@ from mincontrol import (
 )
 from mincontrol import verify
 from mincontrol.setcover import EXACT_UNIVERSE_LIMIT
-from conftest import GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, random_simple_matrix
+from conftest import (
+    GOLDEN_EIGENVALUES,
+    GOLDEN_LEFT_EIGENVECTORS,
+    controllability_matrix,
+    numerical_rank,
+    random_simple_matrix,
+)
 
 B_WORKED = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
 
