@@ -33,8 +33,8 @@ from .errors import (
     ParseError,
     VerificationFailed,
 )
-from .mcp import McpSolution, RealizationConfig, _solve_on_basis
-from .numerics import LeftEigenbasis, left_eigenbasis, perturb_nonzero
+from .mcp import McpSolution, solve_mcp
+from .numerics import LeftEigenbasis, perturb_nonzero, validated_basis
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
 from .structural import _compatible_input, _mscp_condensation, _sparsest_input
@@ -252,18 +252,11 @@ def _effective_tolerances(args, pf: ProblemFile) -> Tolerances:
     )
 
 
-def _resolve_basis(
-    pf: ProblemFile, matrix, tol: Tolerances, allow_file_basis: bool = True
-) -> LeftEigenbasis:
-    if pf.has_eigenbasis and allow_file_basis:
-        return LeftEigenbasis.from_pairs(
-            pf.eigenvalues,
-            pf.eigenvectors,
-            A=matrix,
-            residual_tol=tol.residual_tol,
-            gap_tol=tol.gap_tol,
-        )
-    return left_eigenbasis(matrix, residual_tol=tol.residual_tol, gap_tol=tol.gap_tol)
+def _resolve_basis(pf: ProblemFile, tol: Tolerances) -> LeftEigenbasis | None:
+    """The problem file's eigenbasis, simple under ``tol.gap_tol``, or None."""
+    if not pf.has_eigenbasis:
+        return None
+    return LeftEigenbasis.from_pairs(pf.eigenvalues, pf.eigenvectors, gap_tol=tol.gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +304,6 @@ def _solution_to_dict(solution: McpSolution) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _solve(
-    matrix, basis: LeftEigenbasis, tol: Tolerances, mode: str, exact_limit: int
-) -> McpSolution:
-    return _solve_on_basis(
-        matrix,
-        basis,
-        mode=mode,
-        config=RealizationConfig(tau=tol.tau),
-        zero_tol=tol.zero_tol,
-        rank_tol=tol.rank_tol,
-        exact_limit=exact_limit,
-    )
-
-
 def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     matrix = pf.matrix
     report["perturbation"] = None
@@ -341,10 +320,12 @@ def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
                 zero_tol=min(DEFAULT_ZERO_TOL, args.perturb * PERTURB_ZERO_TOL_FACTOR)
             )
             report["tolerances"] = tol.as_dict()
-    basis = _resolve_basis(pf, matrix, tol, allow_file_basis=args.perturb is None)
+    basis = None if args.perturb is not None else _resolve_basis(pf, tol)
     code = 0
     try:
-        solution = _solve(matrix, basis, tol, args.mode, args.exact_limit)
+        solution = solve_mcp(
+            matrix, basis=basis, mode=args.mode, tol=tol, exact_limit=args.exact_limit
+        )
     except VerificationFailed as exc:
         report["status"] = "unverifiable"
         report["message"] = str(exc)
@@ -352,8 +333,8 @@ def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     instance = solution.cover_instance
     report.update(
         {
-            "eigenbasis_source": _BASIS_SOURCE[basis.source],
-            "eigenvalues": _complex2j(basis.eigenvalues),
+            "eigenbasis_source": _BASIS_SOURCE[solution.basis.source],
+            "eigenvalues": _complex2j(solution.basis.eigenvalues),
             "eigenvector_patterns": [str(p) for p in solution.eigenvector_patterns],
             "cover_instance": {
                 "universe": sorted(instance.universe),
@@ -401,7 +382,9 @@ def _cmd_verify(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     if args.method == "kalman":
         res = kalman_test(pf.matrix, b, tol.rank_tol)
     else:
-        basis = _resolve_basis(pf, pf.matrix, tol)
+        basis = validated_basis(
+            pf.matrix, _resolve_basis(pf, tol), tol.residual_tol, tol.gap_tol
+        )
         if args.method == "pbh-eig":
             res = _certify(pf.matrix, b, tol.rank_tol, basis, kalman=False)[0]
         else:
@@ -414,15 +397,7 @@ def _cmd_verify(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 
 
 def _cmd_oracle(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
-    result = brute_force_mcp(
-        pf.matrix,
-        n_limit=args.n_limit,
-        zero_tol=tol.zero_tol,
-        config=RealizationConfig(tau=tol.tau),
-        rank_tol=tol.rank_tol,
-        residual_tol=tol.residual_tol,
-        gap_tol=tol.gap_tol,
-    )
+    result = brute_force_mcp(pf.matrix, n_limit=args.n_limit, tol=tol)
     report.update(
         {
             "min_support_size": result.min_support_size,
@@ -436,8 +411,9 @@ def _cmd_oracle(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 def _cmd_compare(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     dag = _mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
     mscp_pattern = _sparsest_input(dag)
-    basis = _resolve_basis(pf, pf.matrix, tol)
-    solution = _solve(pf.matrix, basis, tol, "exact", args.exact_limit)
+    solution = solve_mcp(
+        pf.matrix, basis=_resolve_basis(pf, tol), tol=tol, exact_limit=args.exact_limit
+    )
     witness = _compatible_input(dag, solution.pattern)
     report.update(
         {
@@ -463,7 +439,9 @@ def _cmd_compare(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 
 
 def _cmd_eig(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
-    basis = _resolve_basis(pf, pf.matrix, tol)
+    basis = validated_basis(
+        pf.matrix, _resolve_basis(pf, tol), tol.residual_tol, tol.gap_tol
+    )
     patterns = _patterns(_nonzero_mask(basis.vectors, tol.zero_tol))
     report.update(
         {

@@ -23,19 +23,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     Infeasible,
-    NotSimple,
     RepairFailed,
     VerificationFailed,
     ZeroPattern,
 )
-from .numerics import (
-    LeftEigenbasis,
-    as_square_matrix,
-    as_vector,
-    check_residuals,
-    is_simple,
-    left_eigenbasis,
-)
+from .numerics import LeftEigenbasis, as_square_matrix, as_vector, validated_basis
 from .setcover import (
     EXACT_UNIVERSE_LIMIT,
     CoverSolution,
@@ -44,12 +36,7 @@ from .setcover import (
     _greedy_cover,
 )
 from .structure import StructuralVector, _nonzero_mask, _patterns
-from .tolerances import (
-    DEFAULT_GAP_TOL,
-    DEFAULT_RESIDUAL_TOL,
-    DEFAULT_TAU,
-    DEFAULT_ZERO_TOL,
-)
+from .tolerances import DEFAULT_TAU, DEFAULT_ZERO_TOL, Tolerances, check_tolerance
 from .verify import VerificationReport, verification_report
 
 
@@ -65,8 +52,7 @@ class RealizationConfig:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if not 0 < self.tau < np.inf:  # NaN fails too
-            raise ValueError("tau must be positive and finite")
+        check_tolerance("tau", self.tau)
 
 
 @dataclass(frozen=True)
@@ -81,28 +67,26 @@ class RealizationStats:
 class McpSolution:
     """Chosen support, its pattern, the realized vector, and the certificate.
 
-    ``eigenvector_patterns`` and ``cover_instance`` are the stages the
-    solve built on the way: one pattern per left eigenvector, in basis
-    order, and the set-cover instance reduced from them.
+    ``basis`` is the validated left-eigenbasis the solve ran on, and
+    ``eigenvector_patterns`` and ``cover_instance`` are the stages it
+    built on the way: one pattern per left eigenvector, in basis order,
+    and the set-cover instance reduced from them.
     """
 
-    cover_indices: frozenset[int]
     pattern: StructuralVector
     vector: np.ndarray
     mode: str
     certificate: VerificationReport
     eigenvector_patterns: tuple[StructuralVector, ...]
     cover_instance: SetCoverInstance
+    basis: LeftEigenbasis
 
     def __post_init__(self):
-        object.__setattr__(self, "cover_indices", frozenset(self.cover_indices))
         patterns = tuple(self.eigenvector_patterns)
         object.__setattr__(self, "eigenvector_patterns", patterns)
         vec = np.asarray(self.vector, dtype=complex)
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-        if self.pattern.support != tuple(sorted(self.cover_indices)):
-            raise ValueError("pattern stars do not match the cover indices")
         nonzero = tuple((np.flatnonzero(vec) + 1).tolist())
         if nonzero != self.pattern.support:
             raise ValueError("vector support does not match the pattern")
@@ -190,21 +174,18 @@ def realize_with_stats(
     if pattern.nnz == 0:
         raise Infeasible("the requested support is empty")
     stacked = np.array(vecs).reshape(len(vecs), n)
-    return _realize(pattern, stacked, _nonzero_mask(stacked, zero_tol), config)
+    tau = (config or RealizationConfig()).tau
+    return _realize(pattern, stacked, _nonzero_mask(stacked, zero_tol), tau)
 
 
 def _realize(
-    pattern: StructuralVector,
-    stacked: np.ndarray,
-    nonzero: np.ndarray,
-    config: RealizationConfig | None,
+    pattern: StructuralVector, stacked: np.ndarray, nonzero: np.ndarray, tau: float
 ) -> tuple[np.ndarray, RealizationStats]:
     """``realize_with_stats`` on validated vectors stacked as rows.
 
-    ``nonzero`` is their incidence (``structure._nonzero_mask``) and
-    ``pattern`` has at least one star.
+    ``nonzero`` is their incidence (``structure._nonzero_mask``),
+    ``pattern`` has at least one star and ``tau`` is valid.
     """
-    cfg = config if config is not None else RealizationConfig()
     n = len(pattern)
 
     # Step 1: the support must intersect every vector's nonzero pattern.
@@ -235,11 +216,11 @@ def _realize(
         bound = j + 2
         count = 0
         processed, processed_norms = conj_restricted[: j + 1], norms[: j + 1]
-        viol = _orthogonality_violation(bp, processed, processed_norms, cfg.tau)
+        viol = _orthogonality_violation(bp, processed, processed_norms, tau)
         while viol is not None and count < bound:
             bp = bp + EPS1 * restricted[viol]
             count += 1
-            viol = _orthogonality_violation(bp, processed, processed_norms, cfg.tau)
+            viol = _orthogonality_violation(bp, processed, processed_norms, tau)
         if viol is not None:
             raise RepairFailed(
                 f"orthogonality to vector {viol + 1} persisted after {count} "
@@ -255,7 +236,7 @@ def _realize(
     step4_counts: dict[int, int] = {}
     multiplier_bound = p + len(stacked) + 1
     for k in range(p):
-        if k not in _zero_entries(bp, cfg.tau):
+        if k not in _zero_entries(bp, tau):
             continue
         pos = support[k]
         touching = np.flatnonzero(nonzero[:, pos - 1])
@@ -266,8 +247,8 @@ def _realize(
             direction[k] = 1.0
         for mult in range(1, multiplier_bound + 1):
             bp = bp + EPS2 * direction
-            if not _zero_entries(bp, cfg.tau, upto=k + 1) and (
-                _orthogonality_violation(bp, conj_restricted, norms, cfg.tau) is None
+            if not _zero_entries(bp, tau, upto=k + 1) and (
+                _orthogonality_violation(bp, conj_restricted, norms, tau) is None
             ):
                 step4_counts[pos] = mult
                 break
@@ -277,8 +258,8 @@ def _realize(
                 f"{multiplier_bound} multiplier steps"
             )
 
-    if _zero_entries(bp, cfg.tau) or (
-        _orthogonality_violation(bp, conj_restricted, norms, cfg.tau) is not None
+    if _zero_entries(bp, tau) or (
+        _orthogonality_violation(bp, conj_restricted, norms, tau) is not None
     ):
         raise RepairFailed("a residual violation survived the repair loops")
 
@@ -293,26 +274,22 @@ def solve_mcp(
     *,
     basis: LeftEigenbasis | None = None,
     mode: str = "exact",
-    config: RealizationConfig | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    rank_tol: float | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    gap_tol: float = DEFAULT_GAP_TOL,
+    tol: Tolerances = Tolerances(),
     exact_limit: int = EXACT_UNIVERSE_LIMIT,
 ) -> McpSolution:
     """End-to-end sparsest-input solve for a simple matrix.
 
-    Accepts the matrix, a precomputed left-eigenbasis, or both (the
-    basis is then validated against the matrix). ``mode`` selects the
-    exact or the greedy cover solver. The certificate of record is the
-    Kalman rank whenever the matrix is available: full when the
-    eigenbasis bounds the pair's distance to uncontrollability above the
-    rank threshold, else read off one staircase reduction that also
-    gives the PBH-eigenvalue ranks (an SVD only for a pencil the
-    eigenbasis bound does not clear); the eigenvector
-    non-orthogonality test otherwise. Raises VerificationFailed (with
-    the offending solution attached) when the certificate does not
-    confirm controllability under the configured tolerances.
+    Accepts the matrix, a precomputed left-eigenbasis, or both; the basis
+    is computed or validated under ``tol`` (``numerics.validated_basis``)
+    and returned as the solution's ``basis``. ``mode`` selects the exact
+    or the greedy cover solver. The certificate of record is the Kalman
+    rank whenever the matrix is available: full when the eigenbasis
+    bounds the pair's distance to uncontrollability above the rank
+    threshold, else read off one staircase reduction that also gives the
+    PBH-eigenvalue ranks (an SVD only for a pencil the eigenbasis bound
+    does not clear); the eigenvector non-orthogonality test otherwise.
+    Raises VerificationFailed (with the offending solution attached) when
+    the certificate does not confirm controllability under ``tol``.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -320,43 +297,10 @@ def solve_mcp(
         raise ValueError("either a matrix or an eigenbasis is required")
     if A is not None:
         A = as_square_matrix(A)
-    if basis is None:
-        basis = left_eigenbasis(A, residual_tol=residual_tol, gap_tol=gap_tol)
-    else:
-        if not is_simple(basis.eigenvalues, gap_tol):
-            raise NotSimple("supplied eigenvalues are not pairwise distinct")
-        if A is not None:
-            check_residuals(A, basis, residual_tol)
-    return _solve_on_basis(
-        A,
-        basis,
-        mode=mode,
-        config=config,
-        zero_tol=zero_tol,
-        rank_tol=rank_tol,
-        exact_limit=exact_limit,
-    )
-
-
-def _solve_on_basis(
-    A,
-    basis: LeftEigenbasis,
-    *,
-    mode: str,
-    config: RealizationConfig | None,
-    zero_tol: float,
-    rank_tol: float | None,
-    exact_limit: int,
-) -> McpSolution:
-    """``solve_mcp`` on a basis already validated against A (when given).
-
-    ``mode`` must be valid. The CLI resolves and checks the basis under
-    its own tolerances, then solves here, so no check runs twice.
-    """
-    cfg = config if config is not None else RealizationConfig()
+    basis = validated_basis(A, basis, tol.residual_tol, tol.gap_tol)
     # One threshold of the whole basis: row j is vector j's pattern and
     # column i is set i, for the instance, the cover masks and step 1.
-    incidence = _nonzero_mask(basis.vectors, zero_tol)
+    incidence = _nonzero_mask(basis.vectors, tol.zero_tol)
     patterns = _patterns(incidence)
     instance = _cover_instance(incidence)
     cover: CoverSolution = (
@@ -365,16 +309,18 @@ def _solve_on_basis(
         else _greedy_cover(incidence.T)
     )
     pattern = StructuralVector.from_support(cover.indices, basis.n)
-    b, _ = _realize(pattern, basis.vectors, incidence, cfg)
-    report = verification_report(A=A, b=b, basis=basis, rank_tol=rank_tol, tau=cfg.tau)
+    b, _ = _realize(pattern, basis.vectors, incidence, tol.tau)
+    report = verification_report(
+        A=A, b=b, basis=basis, rank_tol=tol.rank_tol, tau=tol.tau
+    )
     solution = McpSolution(
-        cover_indices=cover.indices,
         pattern=pattern,
         vector=b,
         mode=mode,
         certificate=report,
         eigenvector_patterns=patterns,
         cover_instance=instance,
+        basis=basis,
     )
     if not report.controllable:
         rank = report.kalman.rank if report.kalman else "n/a"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EigensolveFailed, NotSimple, NumericalBreakdown
-from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL
+from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL, check_tolerance
 
 #: Relative magnitude below which an entry is ignored when fixing the
 #: phase of an eigenvector (the "first nonzero entry" of the sign rule).
@@ -61,8 +61,7 @@ def is_simple(eigenvalues, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
     lam = np.asarray(eigenvalues, dtype=complex).ravel()
     if lam.size == 0:
         raise DimensionMismatch("eigenvalue sequence must be nonempty")
-    if not 0 < gap_tol < np.inf:  # NaN fails too
-        raise ValueError("gap_tol must be positive and finite")
+    check_tolerance("gap_tol", gap_tol)
     if lam.size == 1:
         return True
     diffs = np.abs(lam[:, None] - lam[None, :])
@@ -148,6 +147,7 @@ def check_residuals(
     residual in the units of A. Raises NumericalBreakdown when the SVD
     giving ||A||_2 does not converge.
     """
+    check_tolerance("residual_tol", residual_tol)
     A = as_square_matrix(A)
     if A.shape[0] != basis.n:
         raise DimensionMismatch(
@@ -222,6 +222,25 @@ def left_eigenbasis(
             "the single-input placement problem needs a simple matrix"
         ) from exc
     check_residuals(A, basis, residual_tol)
+    return basis
+
+
+def validated_basis(
+    A, basis: LeftEigenbasis | None, residual_tol: float, gap_tol: float
+) -> LeftEigenbasis:
+    """A's left-eigenbasis (``left_eigenbasis``), or ``basis`` checked
+    against A (when given) and the tolerances, with each check run once.
+
+    A basis passed ``is_simple`` under its own ``gap_tol`` when it was
+    built, so it passes under any smaller one; it is checked again only
+    under a larger (or NaN) ``gap_tol``.
+    """
+    if basis is None:
+        return left_eigenbasis(A, residual_tol, gap_tol)
+    if not gap_tol <= basis.gap_tol and not is_simple(basis.eigenvalues, gap_tol):
+        raise NotSimple("supplied eigenvalues are not pairwise distinct")
+    if A is not None:
+        check_residuals(A, basis, residual_tol)
     return basis
 
 

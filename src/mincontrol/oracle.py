@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLarge, ZeroPattern
-from .mcp import RealizationConfig, _realize
+from .mcp import _realize
 from .numerics import as_square_matrix, left_eigenbasis
 from .structure import StructuralVector, _nonzero_mask
-from .tolerances import DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL, DEFAULT_ZERO_TOL
+from .tolerances import Tolerances
 from .verify import _certify
 
 #: Enumeration is 2^n; keep the default ceiling modest.
@@ -34,22 +34,15 @@ class OracleResult:
 
 
 def brute_force_mcp(
-    A,
-    n_limit: int = DEFAULT_SIZE_LIMIT,
-    *,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    config: RealizationConfig | None = None,
-    rank_tol: float | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    gap_tol: float = DEFAULT_GAP_TOL,
+    A, n_limit: int = DEFAULT_SIZE_LIMIT, *, tol: Tolerances = Tolerances()
 ) -> OracleResult:
     """Exhaustive minimum-support search for an n x n simple matrix, n <= n_limit."""
     A = as_square_matrix(A)
     n = A.shape[0]
     if n > n_limit:
         raise TooLarge(f"n={n} exceeds the brute-force limit {n_limit}")
-    basis = left_eigenbasis(A, residual_tol=residual_tol, gap_tol=gap_tol)
-    incidence = _nonzero_mask(basis.vectors, zero_tol)
+    basis = left_eigenbasis(A, tol.residual_tol, tol.gap_tol)
+    incidence = _nonzero_mask(basis.vectors, tol.zero_tol)
     empty = np.flatnonzero(~incidence.any(axis=1))
     if empty.size:
         raise ZeroPattern(f"eigenvector {empty[0] + 1} has an all-zero pattern")
@@ -66,8 +59,8 @@ def brute_force_mcp(
         verdicts = []
         for combo in feasible:
             pattern = StructuralVector.from_support(combo, n)
-            b, _ = _realize(pattern, basis.vectors, incidence, config)
-            verdicts.append(_certify(A, b, rank_tol, basis, pbh=False)[1].controllable)
+            b, _ = _realize(pattern, basis.vectors, incidence, tol.tau)
+            verdicts.append(_certify(A, b, tol.rank_tol, basis, pbh=False)[1].controllable)
         return OracleResult(
             min_support_size=k,
             optimal_supports=tuple(feasible),

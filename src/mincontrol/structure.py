@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .tolerances import DEFAULT_ZERO_TOL
+from .tolerances import DEFAULT_ZERO_TOL, check_tolerance
 
 _STAR = "*"
 _ZERO = "0"
@@ -96,6 +96,7 @@ class StructuralMatrix:
         A = np.asarray(A)
         if A.ndim != 2 or A.size == 0:
             raise DimensionMismatch("expected a nonempty 2-d array")
+        check_tolerance("zero_tol", zero_tol, zero_ok=True)
         mags, peak = _magnitudes(A.ravel())
         if not np.isfinite(peak).all():
             raise ValueError("matrix entries must be finite")
@@ -176,8 +177,7 @@ def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
     """
     if not np.isfinite(V).all():
         raise ValueError("vector entries must be finite")
-    if not 0 <= zero_tol < np.inf:  # NaN fails too
-        raise ValueError("zero_tol must be nonnegative and finite")
+    check_tolerance("zero_tol", zero_tol, zero_ok=True)
     mags, peak = _magnitudes(V)
     return mags > zero_tol * peak
 

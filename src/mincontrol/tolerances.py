@@ -22,6 +22,15 @@ DEFAULT_TAU = 1e-10
 _ENV_PREFIX = "MINCONTROL_TOL_"
 
 
+def check_tolerance(name: str, value: float, zero_ok: bool = False) -> None:
+    """Raise ValueError unless ``value`` is positive (nonnegative when
+    ``zero_ok``) and finite; comparisons with NaN are false, so NaN fails."""
+    above = 0 <= value if zero_ok else 0 < value
+    if not (above and value < math.inf):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {sign} and finite")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Bundle of the five tolerances used across the pipeline.
@@ -41,14 +50,11 @@ class Tolerances:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        # Chained comparisons with NaN are false, so NaN fails each check.
         for name in ("residual_tol", "gap_tol", "tau"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.zero_tol < math.inf:
-            raise ValueError("zero_tol must be nonnegative and finite")
-        if self.rank_tol is not None and not 0 < self.rank_tol < math.inf:
-            raise ValueError("rank_tol must be positive and finite")
+            check_tolerance(name, getattr(self, name))
+        check_tolerance("zero_tol", self.zero_tol, zero_ok=True)
+        if self.rank_tol is not None:
+            check_tolerance("rank_tol", self.rank_tol)
 
     @classmethod
     def from_env(cls, environ=None) -> "Tolerances":

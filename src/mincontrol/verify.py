@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
 from .numerics import LeftEigenbasis, as_square_matrix, as_vector, power_of_two_scale
-from .tolerances import DEFAULT_TAU
+from .tolerances import DEFAULT_TAU, check_tolerance
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,8 @@ def _scaled_pair(A, b, rank_tol: float | None) -> tuple[np.ndarray, float, float
     is half the default delta, whatever ``rank_tol`` is. Every caller
     takes these values from here, so they agree to the bit.
     """
+    if rank_tol is not None:
+        check_tolerance("rank_tol", rank_tol)
     A = as_square_matrix(A)
     n = A.shape[0]
     b = as_vector(b, n)
@@ -382,6 +384,7 @@ def pbh_eigenvector_test(
     |v_j . b| <= tau * ||v_j|| * ||b||. Returns the first violating pair
     index (1-based) and the smallest raw inner product seen.
     """
+    check_tolerance("tau", tau)
     b = as_vector(b, basis.n)
     nb = np.linalg.norm(b)
     violator = None

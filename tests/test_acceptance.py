@@ -67,7 +67,7 @@ def test_criterion_2_golden_solution(golden_a):
         start = time.monotonic()
         solution = solve_mcp(golden_a, mode="exact")
         elapsed = time.monotonic() - start
-        assert sorted(solution.cover_indices) == [2, 3, 4]
+        assert solution.support == (2, 3, 4)
         assert str(solution.pattern) == "0***0"
         b = solution.vector
         assert b[1] != 0 and b[2] != 0 and b[3] != 0

@@ -266,6 +266,14 @@ class TestSolveMcpCommand:
         golden = (REPO_ROOT / "tests" / "data" / "golden5_report.json").read_text()
         assert out == golden
 
+    def test_golden_basis_report(self, capsys, monkeypatch):
+        # The same system with its eigenbasis in the file: no eigensolve.
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["solve-mcp", "tests/data/golden5_basis.json", "--json", "--no-timings"]
+        assert run_command(argv) == 0
+        golden = (REPO_ROOT / "tests" / "data" / "golden5_basis_report.json").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_byte_identical_runs(self, capsys, golden_path):
         run_command(["solve-mcp", golden_path, "--json", "--no-timings"])
         first = capsys.readouterr().out
@@ -721,26 +729,7 @@ class TestEigCommand:
 
 
 class TestToleranceResolution:
-    def test_env_override(self, capsys, golden_path, monkeypatch):
-        monkeypatch.setenv("MINCONTROL_TOL_ZERO", "1e-7")
-        _, report = run_json(capsys, "eig", golden_path)
-        assert report["tolerances"]["zero_tol"] == 1e-7
-
-    def test_cli_beats_env(self, capsys, golden_path, monkeypatch):
-        monkeypatch.setenv("MINCONTROL_TOL_ZERO", "1e-7")
-        _, report = run_json(capsys, "eig", golden_path, "--zero-tol", "1e-5")
-        assert report["tolerances"]["zero_tol"] == 1e-5
-
-    def test_file_overrides(self, capsys, tmp_path):
-        doc = {
-            "matrix": [[float(x) for x in row] for row in GOLDEN_A],
-            "tolerances": {"zero_tol": 1e-6},
-        }
-        path = tmp_path / "tol.json"
-        path.write_text(json.dumps(doc))
-        _, report = run_json(capsys, "eig", str(path))
-        assert report["tolerances"]["zero_tol"] == 1e-6
-
+    # Precedence itself is TestTolerancePrecedence's, in every subcommand.
     def test_bad_env_value_exits_two(self, capsys, golden_path, monkeypatch):
         monkeypatch.setenv("MINCONTROL_TOL_ZERO", "soft")
         assert run_command(["eig", golden_path]) == 2
@@ -936,23 +925,41 @@ class TestBasisTolerancesReachTheSolve:
         assert code == 0, report
 
 
-    @pytest.mark.parametrize("command", ["solve-mcp", "compare"])
-    def test_basis_checked_once(self, capsys, golden_path, monkeypatch, command):
-        from mincontrol import mcp, numerics
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            pytest.param(command, data, id=name + suffix)
+            for name, command in [
+                ("solve-mcp", "solve-mcp"),
+                ("compare", "compare"),
+                ("eig", "eig"),
+                ("verify-pbh-eig", "verify --method pbh-eig --vector 0,1,1,1,0"),
+                ("verify-pbh-vec", "verify --method pbh-vec --vector 0,1,1,1,0"),
+            ]
+            for suffix, data in [("", "golden5.json"), ("-file", "golden5_basis.json")]
+        ],
+    )
+    def test_basis_checked_once(self, capsys, monkeypatch, command, data):
+        from mincontrol import numerics
 
         calls = []
-        for module in (numerics, mcp):
-            for name in ("is_simple", "check_residuals"):
-                original = getattr(numerics, name)
+        for name in ("is_simple", "check_residuals"):
+            original = getattr(numerics, name)
 
-                def spy(*args, _name=name, _original=original, **kwargs):
-                    calls.append(_name)
-                    return _original(*args, **kwargs)
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, spy)
-        code, _ = run_json(capsys, command, golden_path)
+            monkeypatch.setattr(numerics, name, spy)
+        solves, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda *a: solves.append(1) or eig(*a))
+        name, *args = command.split()
+        code, _ = run_json(capsys, name, str(DATA_DIR / data), *args)
         assert code == 0
         assert sorted(calls) == ["check_residuals", "is_simple"]
+        # A file basis takes no eigensolve; the golden pair clears the
+        # certificate's gate, so the certificate takes none either.
+        assert len(solves) == (data == "golden5.json")
 
 
 class TestNormFailureIsTyped:

@@ -25,6 +25,7 @@ from mincontrol import (
     solve_mcp,
     structural_pattern,
     support_from_cover,
+    Tolerances,
 )
 from mincontrol import mcp
 from conftest import (
@@ -349,7 +350,7 @@ class TestSolveMcp:
 
     def test_perturbed_support(self, golden_a):
         A = perturb_nonzero(golden_a, 1e-10, seed=3)
-        solution = solve_mcp(A, zero_tol=1e-13)
+        solution = solve_mcp(A, tol=Tolerances(zero_tol=1e-13))
         assert solution.support == (2, 4)
         assert solution.size == 2
 
@@ -367,6 +368,23 @@ class TestSolveMcp:
         solution = solve_mcp(golden_a, basis=basis)
         assert solution.support == (2, 3, 4)
         assert solution.certificate.kalman is not None
+
+    def test_solution_carries_its_basis(self, golden_a):
+        computed = solve_mcp(golden_a).basis
+        assert computed.source == "computed"
+        np.testing.assert_allclose(computed.eigenvalues, GOLDEN_EIGENVALUES, atol=1e-12)
+        basis = LeftEigenbasis.from_pairs(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
+        assert solve_mcp(golden_a, basis=basis).basis is basis
+        with pytest.raises(VerificationFailed) as excinfo:
+            solve_mcp(golden_a, basis=basis, tol=Tolerances(rank_tol=10.0))
+        assert excinfo.value.solution.basis is basis
+
+    def test_supplied_basis_must_be_simple_under_tol(self):
+        # Built under the default gap_tol, checked again under a larger one.
+        basis = LeftEigenbasis.from_pairs([1.0, 1.1], np.eye(2))
+        assert solve_mcp(basis=basis).support == (1, 2)
+        with pytest.raises(NotSimple):
+            solve_mcp(basis=basis, tol=Tolerances(gap_tol=0.1))
 
     def test_supplied_basis_without_matrix(self):
         basis = LeftEigenbasis.from_pairs(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
@@ -389,7 +407,7 @@ class TestSolveMcp:
 
     def test_verification_failed_carries_solution(self, golden_a):
         with pytest.raises(VerificationFailed) as excinfo:
-            solve_mcp(golden_a, rank_tol=10.0)  # absurd tolerance sinks the rank
+            solve_mcp(golden_a, tol=Tolerances(rank_tol=10.0))  # absurd tolerance sinks the rank
         err = excinfo.value
         assert err.solution is not None
         assert err.solution.support == (2, 3, 4)
