@@ -51,9 +51,6 @@ PERTURB_ZERO_TOL_FACTOR = 1e-3
 
 _TOL_KEYS = tuple(f.name for f in fields(Tolerances))
 
-#: A report's ``eigenbasis_source`` for each ``LeftEigenbasis.source``.
-_BASIS_SOURCE = {"user-supplied": "file", "computed": "computed"}
-
 #: Entry types a JSON number decodes to; ``bool`` is deliberately absent.
 _NUMBER_TYPES = {int, float}
 
@@ -256,7 +253,7 @@ def _resolve_basis(pf: ProblemFile, tol: Tolerances) -> LeftEigenbasis | None:
     """The problem file's eigenbasis, simple under ``tol.gap_tol``, or None."""
     if not pf.has_eigenbasis:
         return None
-    return LeftEigenbasis.from_pairs(pf.eigenvalues, pf.eigenvectors, gap_tol=tol.gap_tol)
+    return LeftEigenbasis(pf.eigenvalues, pf.eigenvectors, gap_tol=tol.gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +330,7 @@ def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     instance = solution.cover_instance
     report.update(
         {
-            "eigenbasis_source": _BASIS_SOURCE[solution.basis.source],
+            "eigenbasis_source": "computed" if basis is None else "file",
             "eigenvalues": _complex2j(solution.basis.eigenvalues),
             "eigenvector_patterns": [str(p) for p in solution.eigenvector_patterns],
             "cover_instance": {
@@ -445,7 +442,7 @@ def _cmd_eig(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     patterns = _patterns(_nonzero_mask(basis.vectors, tol.zero_tol))
     report.update(
         {
-            "eigenbasis_source": _BASIS_SOURCE[basis.source],
+            "eigenbasis_source": "file" if pf.has_eigenbasis else "computed",
             "eigenvalues": _complex2j(basis.eigenvalues),
             "eigenvectors": _complex2j(basis.vectors),
             "eigenvector_patterns": [str(p) for p in patterns],

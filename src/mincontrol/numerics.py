@@ -43,12 +43,20 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     return v
 
 
-def power_of_two_scale(X: np.ndarray) -> float:
-    """2^-e, with 2^(e-1) <= the largest |part| of X < 2^e (1 for zero X)."""
+def power_of_two_exponent(X: np.ndarray) -> int:
+    """e with the largest |part| of 2^e X in [1/2, 1) (0 for zero X)."""
     peak = np.abs(X.real).max()
     if X.dtype.kind == "c":
         peak = max(peak, np.abs(X.imag).max())
-    return float(np.ldexp(1.0, -int(np.frexp(peak)[1])))
+    return -int(np.frexp(peak)[1])
+
+
+def times_power_of_two(X, e: int):
+    """X * 2^e, exact unless it overflows or underflows: one product when
+    2^e is a float, else (X below 2^-1024) two that both scale up."""
+    if e <= 1023:
+        return X * float(np.ldexp(1.0, e))
+    return X * float(np.ldexp(1.0, 1023)) * float(np.ldexp(1.0, e - 1023))
 
 
 def is_simple(eigenvalues, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
@@ -74,14 +82,16 @@ class LeftEigenbasis:
     """n (eigenvalue, left-eigenvector) pairs of a simple n x n matrix.
 
     ``vectors[j]`` is the left eigenvector for ``eigenvalues[j]``:
-    v† A = lambda v†. Pairs are sorted by descending real part, then
-    descending imaginary part, so repeated runs produce identical output
-    and downstream set labels stay stable.
+    v† A = lambda v†. ``left_eigenbasis`` sorts its pairs by descending
+    real part, then descending imaginary part, so repeated runs produce
+    identical output and downstream set labels stay stable. Building a
+    basis checks that its values are finite, its vectors nonzero and its
+    eigenvalues simple under ``gap_tol``; ``validated_basis`` checks it
+    against A.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    source: str = "computed"
     gap_tol: float = DEFAULT_GAP_TOL
 
     def __post_init__(self):
@@ -93,8 +103,8 @@ class LeftEigenbasis:
             raise DimensionMismatch(
                 f"{lam.size} eigenvalues for {V.shape[0]} eigenvectors"
             )
-        if self.source not in ("computed", "user-supplied"):
-            raise ValueError(f"unknown source {self.source!r}")
+        if not (np.isfinite(lam).all() and np.isfinite(V).all()):
+            raise ValueError("eigenvalues and eigenvectors must be finite")
         norms = np.linalg.norm(V, axis=1)
         if np.any(norms == 0):
             raise ValueError("eigenvectors must be nonzero")
@@ -104,26 +114,6 @@ class LeftEigenbasis:
         V.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "vectors", V)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        eigenvalues,
-        vectors,
-        A=None,
-        residual_tol: float = DEFAULT_RESIDUAL_TOL,
-        gap_tol: float = DEFAULT_GAP_TOL,
-    ) -> "LeftEigenbasis":
-        """Wrap a user-supplied basis, validating residuals when A is given."""
-        basis = cls(
-            np.array(eigenvalues, dtype=complex),
-            np.array(vectors, dtype=complex),
-            source="user-supplied",
-            gap_tol=gap_tol,
-        )
-        if A is not None:
-            check_residuals(A, basis, residual_tol)
-        return basis
 
     @property
     def n(self) -> int:
@@ -153,8 +143,8 @@ def check_residuals(
         raise DimensionMismatch(
             f"matrix is {A.shape[0]}x{A.shape[0]} but basis has {basis.n} pairs"
         )
-    s = power_of_two_scale(A)
-    A = A * s
+    e = power_of_two_exponent(A)
+    A = times_power_of_two(A, e)
     try:
         scale = np.linalg.svd(A, compute_uv=False)[0]  # ||sA||_2
     except np.linalg.LinAlgError as exc:
@@ -169,7 +159,7 @@ def check_residuals(
     n = basis.n
     with np.errstate(all="ignore"):
         Vc = basis.vectors.conj()
-        lams = basis.eigenvalues * s
+        lams = times_power_of_two(basis.eigenvalues, e)
         res = np.linalg.norm(Vc @ A - lams[:, None] * Vc, axis=1)
         vnorm = np.linalg.norm(Vc, axis=1)
         u = 8 * (n + 2) * np.finfo(float).eps
@@ -181,7 +171,8 @@ def check_residuals(
             res = np.linalg.norm(v.conj() @ A - lam * v.conj())
             if not res <= residual_tol * scale * np.linalg.norm(v):  # NaN fails too
                 raise EigensolveFailed(
-                    f"pair {j} residual {res / s:.3e} exceeds {residual_tol:.1e} * ||A||"
+                    f"pair {j} residual {times_power_of_two(res, -e):.3e} exceeds "
+                    f"{residual_tol:.1e} * ||A||"
                 )
 
 
@@ -195,14 +186,16 @@ def left_eigenbasis(
     Each returned vector has unit Euclidean norm with its first nonzero
     entry made real and positive, so repeated runs produce identical
     output. Raises NotSimple when the eigenvalue gap check fails and
-    EigensolveFailed when LAPACK does not converge or a residual exceeds
-    ``residual_tol * ||A||``.
+    EigensolveFailed when LAPACK does not converge or overflows, or a
+    residual exceeds ``residual_tol * ||A||``.
     """
     A = as_square_matrix(A)
     try:
         mu, W = np.linalg.eig(A.conj().T)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailed(str(exc)) from exc
+    if not (np.isfinite(mu).all() and np.isfinite(W).all()):
+        raise EigensolveFailed("the eigensolve overflowed: a value is not finite")
     lam = mu.conj()
     order = np.lexsort((-lam.imag, -lam.real))
     lam = lam[order]
@@ -215,7 +208,7 @@ def left_eigenbasis(
     lead = np.argmax(mags > _PHASE_TOL * mags.max(axis=1, keepdims=True), axis=1)
     V *= np.array([abs(p) / p for p in V[np.arange(V.shape[0]), lead]])[:, None]
     try:
-        basis = LeftEigenbasis(lam, V, source="computed", gap_tol=gap_tol)
+        basis = LeftEigenbasis(lam, V, gap_tol=gap_tol)
     except NotSimple as exc:
         raise NotSimple(
             "matrix eigenvalues are not pairwise distinct under gap_tol; "

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .numerics import LeftEigenbasis, as_square_matrix, as_vector, power_of_two_scale
+from .numerics import LeftEigenbasis, as_square_matrix, as_vector
+from .numerics import power_of_two_exponent, times_power_of_two
 from .tolerances import DEFAULT_TAU, check_tolerance
 
 
@@ -96,8 +97,8 @@ class Staircase:
 
     ``form`` is the n x (n + 1) array [beta e1 | H]: with Q unitary,
     Q^H (t b) = beta e1 and H = Q^H (s A) Q upper Hessenberg, where
-    s = ``scale`` and t are the powers of two that bring the largest real
-    or imaginary part of A and of b into [1/2, 1). ``k`` is the position
+    s = 2^``scale`` and t are the powers of two that bring the largest
+    real or imaginary part of A and of b into [1/2, 1). ``k`` is the position
     of the first of |beta|, |h21|, ..., |h_{n,n-1}| at or below ``tol``
     (in the units of H; n when none is): b reaches at most k coordinates
     of the form once that value is set to zero.
@@ -105,7 +106,7 @@ class Staircase:
 
     k: int
     form: np.ndarray
-    scale: float
+    scale: int
     tol: float
 
     @property
@@ -131,8 +132,8 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray | None, complex]:
     return v, -phase * norm
 
 
-def _scaled_pair(A, b, rank_tol: float | None) -> tuple[np.ndarray, float, float, float]:
-    """[t b | s A], s, delta and the reduction's backward error, for ``staircase``.
+def _scaled_pair(A, b, rank_tol: float | None) -> tuple[np.ndarray, int, float, float]:
+    """[t b | s A], log2 s, delta and the reduction's backward error, for ``staircase``.
 
     s and t are the powers of two that bring the largest real or imaginary
     part of A and of b into [1/2, 1); the array is float64 when A and b
@@ -148,10 +149,10 @@ def _scaled_pair(A, b, rank_tol: float | None) -> tuple[np.ndarray, float, float
     b = as_vector(b, n)
     if not (A.imag.any() or b.imag.any()):
         A, b = A.real, b.real
-    scale = power_of_two_scale(A)
+    scale = power_of_two_exponent(A)
     C = np.empty((n, n + 1), dtype=A.dtype)
-    C[:, 0] = b * power_of_two_scale(b)
-    C[:, 1:] = A * scale
+    C[:, 0] = times_power_of_two(b, power_of_two_exponent(b))
+    C[:, 1:] = times_power_of_two(A, scale)
     eps = np.finfo(float).eps
     norm = np.linalg.norm(C[:, 1:])
     tol = float((4 * n * eps if rank_tol is None else rank_tol) * norm)
@@ -197,7 +198,7 @@ def staircase(A, b, rank_tol: float | None = None) -> Staircase:
     return _reduce(*_scaled_pair(A, b, rank_tol)[:3])
 
 
-def _reduce(C: np.ndarray, scale: float, tol: float) -> Staircase:
+def _reduce(C: np.ndarray, scale: int, tol: float) -> Staircase:
     """``staircase`` on a scaled pair from ``_scaled_pair``, reduced in place."""
     n = C.shape[0]
     k = n
@@ -365,14 +366,14 @@ def _kalman(form: Staircase, shifts: np.ndarray, lower: np.ndarray) -> KalmanRes
     return KalmanResult(controllable=rank == form.n, rank=rank)
 
 
-def _scaled_eigenvalues(scale: float, eigenvalues) -> np.ndarray:
+def _scaled_eigenvalues(scale: int, eigenvalues) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=complex).ravel()
     if lam.size == 0:
         raise DimensionMismatch("eigenvalue sequence must be nonempty")
     if not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite")
     with np.errstate(over="ignore"):
-        return lam * scale
+        return times_power_of_two(lam, scale)
 
 
 def pbh_eigenvector_test(
@@ -499,10 +500,14 @@ def verification_report(
     With a matrix, one certificate pass (``_certify``) gives the Kalman
     result and, on the basis when one is given, the PBH-eigenvalue ranks:
     the values ``kalman_test`` and ``pbh_eigenvalue_test`` give. With a
-    basis, the PBH eigenvector test runs too.
+    basis, the PBH eigenvector test runs too. The report embeds both
+    tolerances, so both are checked whichever tests run.
     """
     if A is None and basis is None:
         raise ValueError("verification needs a matrix, an eigenbasis, or both")
+    check_tolerance("tau", tau)
+    if rank_tol is not None:
+        check_tolerance("rank_tol", rank_tol)
     pbh_vec = pbh_eigenvector_test(basis, b, tau) if basis is not None else None
     pbh_val = kalman = None
     if A is not None:

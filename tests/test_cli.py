@@ -304,6 +304,14 @@ class TestSolveMcpCommand:
         else:
             assert report["status"] == "unverifiable" and code == 1
 
+    def test_perturb_ignores_file_eigenbasis(self, capsys):
+        # The file's basis is the unperturbed matrix's, so the perturbed
+        # solve computes its own.
+        path = str(DATA_DIR / "golden5_basis.json")
+        _, report = run_json(capsys, "solve-mcp", path, "--perturb", "1e-10", "--seed", "0")
+        assert report["eigenbasis_source"] == "computed"
+        assert report["solution"]["support"] == [2, 4]
+
     def test_perturb_respects_explicit_zero_tol(self, capsys, golden_path):
         _, report = run_json(
             capsys,
@@ -670,7 +678,10 @@ class TestVerifyCommand:
 class TestScaledInputs:
     """Scaling A changes neither the support nor the exit code."""
 
-    @pytest.mark.parametrize("c", [1e-14, 1e-12, 1e-10, 1e200, 1e250, 1e300])
+    # 2^-1030 and 2^-1060 make every entry subnormal, exactly.
+    @pytest.mark.parametrize(
+        "c", [1e-14, 1e-12, 1e-10, 1e200, 1e250, 1e300, 2.0**-1030, 2.0**-1060]
+    )
     def test_scaled_golden(self, capsys, tmp_path, c):
         path = tmp_path / "scaled.json"
         path.write_text(json.dumps({"matrix": (c * GOLDEN_A).tolist()}))
@@ -726,6 +737,15 @@ class TestEigCommand:
         ]
         values = [complex(re, im) for re, im in report["eigenvalues"]]
         np.testing.assert_allclose(values, [5, 4, 3, 2, 1], atol=1e-9)
+
+    @pytest.mark.parametrize("data", ["golden5", "golden5_basis"])
+    def test_golden_eig_report(self, capsys, monkeypatch, data):
+        # "eigenbasis_source" is "file" exactly for the file with a basis.
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["eig", f"tests/data/{data}.json", "--json", "--no-timings"]
+        assert run_command(argv) == 0
+        golden = (REPO_ROOT / "tests" / "data" / f"{data}_eig_report.json").read_text()
+        assert capsys.readouterr().out == golden
 
 
 class TestToleranceResolution:

@@ -362,18 +362,16 @@ class TestSolveMcp:
         assert greedy.certificate.controllable
 
     def test_supplied_basis_with_matrix(self, golden_a):
-        basis = LeftEigenbasis.from_pairs(
-            GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, A=golden_a
-        )
+        # solve_mcp checks the basis's residuals against the matrix.
+        basis = LeftEigenbasis(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
         solution = solve_mcp(golden_a, basis=basis)
         assert solution.support == (2, 3, 4)
         assert solution.certificate.kalman is not None
 
     def test_solution_carries_its_basis(self, golden_a):
         computed = solve_mcp(golden_a).basis
-        assert computed.source == "computed"
         np.testing.assert_allclose(computed.eigenvalues, GOLDEN_EIGENVALUES, atol=1e-12)
-        basis = LeftEigenbasis.from_pairs(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
+        basis = LeftEigenbasis(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
         assert solve_mcp(golden_a, basis=basis).basis is basis
         with pytest.raises(VerificationFailed) as excinfo:
             solve_mcp(golden_a, basis=basis, tol=Tolerances(rank_tol=10.0))
@@ -381,13 +379,13 @@ class TestSolveMcp:
 
     def test_supplied_basis_must_be_simple_under_tol(self):
         # Built under the default gap_tol, checked again under a larger one.
-        basis = LeftEigenbasis.from_pairs([1.0, 1.1], np.eye(2))
+        basis = LeftEigenbasis([1.0, 1.1], np.eye(2))
         assert solve_mcp(basis=basis).support == (1, 2)
         with pytest.raises(NotSimple):
             solve_mcp(basis=basis, tol=Tolerances(gap_tol=0.1))
 
     def test_supplied_basis_without_matrix(self):
-        basis = LeftEigenbasis.from_pairs(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
+        basis = LeftEigenbasis(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
         solution = solve_mcp(basis=basis)
         assert solution.support == (2, 3, 4)
         assert solution.certificate.kalman is None

@@ -80,32 +80,45 @@ class TestLeftEigenbasis:
         with pytest.raises(ValueError):
             left_eigenbasis(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_overflowing_spectrum(self):
+        # Finite entries whose eigenvalue 2e308 lies beyond the float range.
+        with pytest.raises(EigensolveFailed, match="overflowed"):
+            left_eigenbasis(np.full((2, 2), 1e308))
+
 
 class TestUserSuppliedBasis:
-    def test_from_pairs_validates_residual(self, golden_a):
-        basis = LeftEigenbasis.from_pairs(
-            GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, A=golden_a
-        )
-        assert basis.source == "user-supplied"
+    def test_supplied_basis_passes_residual_check(self, golden_a):
+        basis = LeftEigenbasis(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
+        check_residuals(golden_a, basis)
         assert basis.n == 5
 
-    def test_from_pairs_bad_vectors(self, golden_a):
+    def test_supplied_bad_vectors_fail_residual_check(self, golden_a):
         wrong = GOLDEN_LEFT_EIGENVECTORS.copy()
         wrong[0, 0] = 5.0
+        basis = LeftEigenbasis(GOLDEN_EIGENVALUES, wrong)
         with pytest.raises(EigensolveFailed):
-            LeftEigenbasis.from_pairs(GOLDEN_EIGENVALUES, wrong, A=golden_a)
+            check_residuals(golden_a, basis)
 
     def test_pair_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            LeftEigenbasis.from_pairs([1.0, 2.0], np.eye(3))
+            LeftEigenbasis([1.0, 2.0], np.eye(3))
 
     def test_repeated_eigenvalues_rejected(self):
         with pytest.raises(NotSimple):
-            LeftEigenbasis.from_pairs([1.0, 1.0], np.eye(2))
+            LeftEigenbasis([1.0, 1.0], np.eye(2))
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            LeftEigenbasis.from_pairs([1.0, 2.0], np.array([[1.0, 0.0], [0.0, 0.0]]))
+            LeftEigenbasis([1.0, 2.0], np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("where", ["eigenvalue", "vector"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_nonfinite_rejected(self, where, value):
+        eigenvalues = np.array([1.0, 2.0, 3.0], dtype=complex)
+        vectors = np.eye(3, dtype=complex)
+        (eigenvalues if where == "eigenvalue" else vectors[1])[1] = value
+        with pytest.raises(ValueError, match="^eigenvalues and eigenvectors must be finite$"):
+            LeftEigenbasis(eigenvalues, vectors)
 
 
 def phase_loop_reference(A):
@@ -199,7 +212,7 @@ def basis_at_residual_ratios(A, ratios, residual_tol):
         for _ in range(3):  # ||v + t e|| moves with t
             t = ratio * residual_tol * scale * np.linalg.norm(v + t * e) / gain
         vectors.append(v + t * e)
-    basis = LeftEigenbasis.from_pairs(exact.eigenvalues, vectors)
+    basis = LeftEigenbasis(exact.eigenvalues, vectors)
     for (lam, v), ratio in zip(basis, ratios):
         if ratio:
             res = np.linalg.norm(v.conj() @ A - lam * v.conj())
@@ -259,7 +272,7 @@ class TestResidualDecisionMatchesLoop:
         A = random_simple_matrix(rng, n)
         exact = left_eigenbasis(A)
         vectors = exact.vectors + 1e-9 * rng.standard_normal((n, n))
-        basis = LeftEigenbasis.from_pairs(exact.eigenvalues, vectors)
+        basis = LeftEigenbasis(exact.eigenvalues, vectors)
         Ac = A.astype(complex)
         scale = np.linalg.svd(Ac, compute_uv=False)[0]
         for lam, v in basis:

@@ -28,7 +28,7 @@ from mincontrol.verify import staircase
 from conftest import GOLDEN_A, GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS
 
 B = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
-BASIS = LeftEigenbasis.from_pairs(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
+BASIS = LeftEigenbasis(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
 
 #: (tolerance name, call with the tolerance set to x), one per entry point.
 CALLS = {
@@ -75,6 +75,15 @@ CALLS = {
     "verification_report.tau": (
         "tau",
         lambda x: verification_report(B, A=GOLDEN_A, basis=BASIS, tau=x),
+    ),
+    # Checked even where no test that reads the tolerance runs.
+    "verification_report.rank_tol without a matrix": (
+        "rank_tol",
+        lambda x: verification_report(B, basis=BASIS, rank_tol=x),
+    ),
+    "verification_report.tau without a basis": (
+        "tau",
+        lambda x: verification_report(B, A=GOLDEN_A, tau=x),
     ),
 }
 

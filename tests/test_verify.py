@@ -7,6 +7,7 @@ from mincontrol import (
     KalmanResult,
     LeftEigenbasis,
     brute_force_mcp,
+    check_residuals,
     kalman_test,
     left_eigenbasis,
     pbh_eigenvalue_test,
@@ -16,6 +17,7 @@ from mincontrol import (
 )
 from mincontrol import verify
 from mincontrol.setcover import EXACT_UNIVERSE_LIMIT
+from mincontrol.tolerances import DEFAULT_GAP_TOL
 from conftest import (
     GOLDEN_EIGENVALUES,
     GOLDEN_LEFT_EIGENVECTORS,
@@ -27,9 +29,16 @@ from conftest import (
 B_WORKED = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
 
 
+def checked_basis(A, eigenvalues, vectors, gap_tol=DEFAULT_GAP_TOL):
+    """A supplied basis, checked against A as ``solve_mcp`` checks it."""
+    basis = LeftEigenbasis(eigenvalues, vectors, gap_tol=gap_tol)
+    check_residuals(A, basis)
+    return basis
+
+
 @pytest.fixture(scope="module")
 def integer_basis(golden_a):
-    return LeftEigenbasis.from_pairs(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, A=golden_a)
+    return checked_basis(golden_a, GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
 
 
 class TestPbhEigenvalue:
@@ -431,8 +440,8 @@ class TestVerificationReport:
         b = rng.normal(size=8)
         form = verify.staircase(A, b)
         computed = left_eigenbasis(A)
-        moved = computed.eigenvalues + 10 * form.tol / form.scale
-        basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
+        moved = computed.eigenvalues + 10 * form.tol / 2.0**form.scale
+        basis = checked_basis(A, moved, computed.vectors)
         assert form.k == 8 and not moved.imag.any()
         reductions = spy_staircase(monkeypatch)
         gated = verification_report(b, A=A, basis=basis)
@@ -463,15 +472,15 @@ def sparse_system(rng, n, density=0.02):
 
 def scaled_pencil_sigma_min(A, b, form, eigenvalues):
     """SVD sigma_min of [t b | sA - s lambda I] per eigenvalue, in the units
-    of ``form``: s its scale, t the power of two that brings b's largest
+    of ``form``: s = 2^scale, t the power of two that brings b's largest
     real or imaginary part into [1/2, 1)."""
-    sA = np.asarray(A, dtype=complex) * form.scale
+    sA = np.asarray(A, dtype=complex) * 2.0**form.scale
     b = np.asarray(b, dtype=complex)
     tb = b * 2.0 ** -np.frexp(np.abs(b.view(float)).max())[1]
     eye = np.eye(len(b))
     return np.array(
         [
-            np.linalg.svd(np.column_stack([tb, sA - form.scale * ev * eye]), compute_uv=False)[-1]
+            np.linalg.svd(np.column_stack([tb, sA - 2.0**form.scale * ev * eye]), compute_uv=False)[-1]
             for ev in np.asarray(eigenvalues, dtype=complex)
         ]
     )
@@ -484,7 +493,8 @@ def basis_bound(A, b, basis, rank_tol=None):
     form = verify.staircase(A, b, rank_tol)
     shifts = verify._scaled_eigenvalues(form.scale, basis.eigenvalues)
     b = np.asarray(b, dtype=complex)
-    sA, tb = np.asarray(A, dtype=complex) * form.scale, b * verify.power_of_two_scale(b)
+    sA = np.asarray(A, dtype=complex) * 2.0**form.scale
+    tb = verify.times_power_of_two(b, verify.power_of_two_exponent(b))
     return (*verify._lower_bound(sA, tb, basis.vectors.conj(), shifts), form)
 
 
@@ -570,7 +580,7 @@ class TestBasisBound:
 
     def test_user_basis_near_residual_tol(self):
         # Vectors and eigenvalues moved until their residuals sit a few
-        # times below residual_tol: from_pairs accepts the basis, ||E||
+        # times below residual_tol: check_residuals accepts the basis, ||E||
         # grows, and the bound stays below the SVD's sigma_min.
         rng = np.random.default_rng(423)
         for n in (6, 30):
@@ -586,8 +596,8 @@ class TestBasisBound:
 
             eta = 0.8e-8 * norm / residuals(1e-9).max() * 1e-9
             assert 0.5e-8 * norm < residuals(eta).max() < 1e-8 * norm
-            basis = LeftEigenbasis.from_pairs(
-                computed.eigenvalues + eta * dlam, computed.vectors + eta * dV, A=A
+            basis = checked_basis(
+                A, computed.eigenvalues + eta * dlam, computed.vectors + eta * dV
             )
             self.check_sound(A, rng.normal(size=n), basis)
             # b within 1e-12 of orthogonal to the first computed eigenvector:
@@ -600,8 +610,8 @@ class TestBasisBound:
 
     @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_scaled_golden(self, golden_a, c):
-        basis = LeftEigenbasis.from_pairs(
-            c * GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, A=c * golden_a, gap_tol=1e-15
+        basis = checked_basis(
+            c * golden_a, c * GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS, gap_tol=1e-15
         )
         assert self.check_sound(c * golden_a, B_WORKED, basis) == 1.0
 
@@ -644,7 +654,7 @@ class TestBasisBound:
         # (then w alone would not see the pair), and the pencil ranks
         # decide them.
         A = np.diag([1.0, 1.0 + 4e-15, 3.0])
-        basis = LeftEigenbasis.from_pairs(np.diag(A), np.eye(3), A=A, gap_tol=1e-16)
+        basis = checked_basis(A, np.diag(A), np.eye(3), gap_tol=1e-16)
         for b in (np.ones(3), np.array([0.0, 1.0, 1.0])):
             bound, whole, form = basis_bound(A, b, basis)
             assert (bound[:2] <= 2 * form.tol).all() and bound[2] > 2 * form.tol
@@ -697,8 +707,8 @@ class TestBasisBound:
         b = rng.normal(size=6)
         computed = left_eigenbasis(A)
         default = verify.staircase(A, b)
-        moved = computed.eigenvalues + default.tol / 2 / default.scale
-        basis = LeftEigenbasis.from_pairs(moved, computed.vectors, A=A)
+        moved = computed.eigenvalues + default.tol / 2 / 2.0**default.scale
+        basis = checked_basis(A, moved, computed.vectors)
         bound = factor * verify.staircase(A, b, rank_tol).tol
         monkeypatch.setattr(
             verify, "_lower_bound", lambda *args: (np.full(6, bound), bound if plane else 0.0)
@@ -773,7 +783,7 @@ class TestOwnBound:
             assert whole <= lower.min()
             near = modes[pick] + form.tol * rng.normal(size=pick.size)
             far = modes[pick] + 1e-3 * (rng.normal(size=pick.size) + 1j * rng.normal(size=pick.size))
-            spectrum = np.linalg.eigvals(A)[pick] * form.scale if C is form.form else near
+            spectrum = np.linalg.eigvals(A)[pick] * 2.0**form.scale if C is form.form else near
             for shifts in (near, far, spectrum):
                 extended = verify._extend(lower, modes, shifts)
                 sigma = pencil_sigma_min(C, shifts)
@@ -928,7 +938,7 @@ class TestWholePlaneGate:
         b = np.eye(n)[0]
         H[m, m - 1] = verify._scaled_pair(H, b, None)[2] / 10
         C, scale, tol, backward = verify._scaled_pair(H, b, None)
-        assert scale == 1 and H[m, m - 1] <= tol / 9
+        assert scale == 0 and H[m, m - 1] <= tol / 9
         basis = left_eigenbasis(H)
         _, whole = verify._lower_bound(C[:, 1:], C[:, 0], basis.vectors.conj(), basis.eigenvalues)
         assert whole - backward <= tol and verify._modes(C, backward)[2] <= tol
@@ -1042,6 +1052,18 @@ class TestStaircase:
             form = verify.staircase(c * A, d * b)
             assert (form.k, form.tol) == (base.k, base.tol)
             np.testing.assert_array_equal(form.form, base.form)
+
+    def test_subnormal_scaling_is_exact(self, golden_a):
+        # Golden's entries have at most 4 significant bits, so 2^-1060 A and
+        # 2^-1074 b are exact; their scales 2^e, e > 1023, are not floats.
+        base = verify.staircase(golden_a, B_WORKED)
+        for c, d in ((2.0**-1030, 1.0), (2.0**-1060, 2.0**-1074), (1.0, 2.0**-1050)):
+            form = verify.staircase(c * golden_a, d * B_WORKED)
+            assert (form.k, form.tol) == (base.k, base.tol)
+            np.testing.assert_array_equal(form.form, base.form)
+        rank = kalman_test(golden_a, B_WORKED)
+        for k in range(1074 + 1):
+            assert kalman_test(golden_a, 2.0**-k * B_WORKED) == rank
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_known_controllable_dimension(self, dtype):
