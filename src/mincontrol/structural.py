@@ -8,6 +8,10 @@ strongly connected component that has no incoming edge from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
+
 from .errors import DimensionMismatch, MissingSelfLoops, NotSquare
 from .structure import StructuralMatrix, StructuralVector
 
@@ -56,82 +60,97 @@ def state_digraph(pattern: StructuralMatrix) -> StateDigraph:
     """Digraph of a square pattern: x_i -> x_j iff position (j, i) is a star."""
     if pattern.rows != pattern.cols:
         raise NotSquare(f"pattern is {pattern.rows}x{pattern.cols}")
-    return StateDigraph(pattern.rows, frozenset((i, j) for j, i in pattern.stars))
-
-
-def _tarjan_components(n: int, adjacency: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, iteratively (no recursion limit)."""
-    index = [0] * (n + 1)
-    low = [0] * (n + 1)
-    on_stack = [False] * (n + 1)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 1
-    for root in range(1, n + 1):
-        if index[root]:
-            continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not index[w]:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adjacency[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-    return components
+    dst, src = np.divmod(pattern.positions, pattern.cols)
+    return StateDigraph(pattern.rows, frozenset(zip((src + 1).tolist(), (dst + 1).tolist())))
 
 
 def scc_dag(g: StateDigraph) -> SccDag:
     """Condense a digraph and flag the components with no incoming edge."""
-    adjacency: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for i, j in g.edges:
-        adjacency[i].append(j)
-    components = _tarjan_components(g.n, adjacency)
-    components.sort(key=lambda c: c[0])
-    membership = [0] * g.n
-    for ci, comp in enumerate(components):
-        for v in comp:
-            membership[v - 1] = ci
-    dag_edges = set()
-    for i, j in g.edges:
-        ci, cj = membership[i - 1], membership[j - 1]
-        if ci != cj:
-            dag_edges.add((ci, cj))
-    has_incoming = [False] * len(components)
-    for _, cj in dag_edges:
-        has_incoming[cj] = True
+    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
+    src, dst = flat.reshape(-1, 2).T - 1
+    return _condense(g.n, src, dst)
+
+
+def _condense(n: int, src: np.ndarray, dst: np.ndarray) -> SccDag:
+    """Condensation of the digraph on 0-based vertices 0..n-1 with edges src -> dst.
+
+    Self-loops are dropped; components are numbered by their smallest
+    vertex, and each lists its vertices ascending, 1-based.
+    """
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    # A digraph and its reverse have the same components. The reverse's
+    # adjacency lists come from sorting by ``dst``, which the stars of a
+    # row-major pattern already are.
+    order = np.argsort(dst, kind="stable")
+    offsets = np.searchsorted(dst[order], np.arange(n + 1)).tolist()
+    label = np.array(_tarjan(n, offsets, src[order].tolist()), dtype=np.intp)
+    # Renumber the components, found in completion order, by smallest vertex.
+    _, first = np.unique(label, return_index=True)
+    renumber = np.empty(first.size, dtype=np.intp)
+    renumber[np.argsort(first)] = np.arange(first.size)
+    membership = renumber[label]
+    vertices = (np.argsort(membership, kind="stable") + 1).tolist()
+    ends = np.cumsum(np.bincount(membership)).tolist()
+    src, dst = membership[src], membership[dst]
+    between = src != dst
+    src, dst = src[between], dst[between]
+    has_incoming = np.zeros(first.size, dtype=bool)
+    has_incoming[dst] = True
     return SccDag(
-        components=tuple(tuple(c) for c in components),
-        edges=frozenset(dag_edges),
-        non_top_linked=tuple(not x for x in has_incoming),
-        membership=tuple(membership),
+        components=tuple(
+            tuple(vertices[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
+        ),
+        edges=frozenset(zip(src.tolist(), dst.tolist())),
+        non_top_linked=tuple((~has_incoming).tolist()),
+        membership=tuple(membership.tolist()),
     )
+
+
+def _tarjan(n: int, offsets: list[int], targets: list[int]) -> list[int]:
+    """Tarjan's strongly connected components, iteratively (no recursion limit).
+
+    The out-edges of v are ``targets[offsets[v]:offsets[v + 1]]``.
+    Returns each vertex's component, numbered in completion order.
+    """
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n  # a visited vertex is on the stack until it is labelled
+    resume = offsets[:-1]  # the next out-edge of each vertex to scan
+    stack: list[int] = []
+    counter = components = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            for e in range(resume[v], offsets[v + 1]):
+                w = targets[e]
+                if index[w] < 0:
+                    resume[v] = e + 1
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    path.append(w)
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = components
+                        if w == v:
+                            break
+                    components += 1
+    return label
 
 
 def _require_full_diagonal(pattern: StructuralMatrix):
@@ -154,7 +173,8 @@ def _mscp_condensation(pattern: StructuralMatrix) -> SccDag:
     solvers below cover only that case.
     """
     _require_full_diagonal(pattern)
-    return scc_dag(state_digraph(pattern))
+    dst, src = np.divmod(pattern.positions, pattern.cols)
+    return _condense(pattern.rows, src, dst)
 
 
 def _sparsest_input(dag: SccDag) -> StructuralVector:

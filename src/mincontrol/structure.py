@@ -6,9 +6,8 @@ output and golden files. Positions are 1-based in all public indices.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,91 +65,159 @@ class StructuralVector:
         return tuple(i + 1 for i, m in enumerate(self.mask) if m)
 
 
-@dataclass(frozen=True, init=False)
+#: Bytes per block in ``StructuralMatrix.from_numeric``: a block of A,
+#: its magnitudes and every other per-block temporary fit in this much,
+#: under glibc's default mmap threshold (128 KiB), so the one magnitude
+#: buffer and each temporary come from the heap without page faults.
+_BLOCK_BYTES = 64 * 1024
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class StructuralMatrix:
     """Row-major pattern over {0, *} for a rows x cols matrix.
 
-    The pattern is held as its stars, so it takes O(rows + nnz) memory;
-    ``mask``, the rows * cols tuple of bools, is built only when read.
-    Two patterns are equal exactly when rows, cols and mask are.
+    The pattern is held as ``positions``, the ascending 0-based
+    row-major indices of its stars in one read-only integer array, so it
+    takes O(rows + nnz) memory. ``stars`` (1-based pairs) and ``mask``
+    (the rows * cols tuple of bools) are built only when read. Two
+    patterns are equal exactly when their shapes and stars are.
     """
 
     rows: int
     cols: int
-    stars: tuple[tuple[int, int], ...]
-    """1-based (row, col) positions of the stars, in row-major order."""
+    positions: np.ndarray
 
     def __init__(self, rows: int, cols: int, mask: Sequence[bool]):
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch(f"pattern shape {rows}x{cols} is not positive")
         if len(mask) != rows * cols:
             raise DimensionMismatch(f"pattern length {len(mask)} != {rows}x{cols}")
-        mask = tuple(map(bool, mask))
-        self.__dict__.update(
-            rows=rows,
-            cols=cols,
-            stars=_stars(np.flatnonzero(np.array(mask, dtype=bool)), cols),
-            mask=mask,
-        )
+        flags = np.fromiter(map(bool, mask), dtype=bool, count=len(mask))
+        self._set(rows, cols, np.flatnonzero(flags))
+
+    def _set(self, rows: int, cols: int, positions: np.ndarray):
+        positions.flags.writeable = False
+        self.__dict__.update(rows=rows, cols=cols, positions=positions)
 
     @classmethod
     def from_numeric(cls, A, zero_tol: float = DEFAULT_ZERO_TOL) -> "StructuralMatrix":
+        """Stars where |a| > zero_tol * max |a|, the rule of ``structural_pattern``.
+
+        ``A`` is read in blocks of ``_BLOCK_BYTES``, once for the peak
+        and once for the cut, through one reused magnitude buffer, so no
+        temporary the size of ``A`` is made.
+        """
         A = np.asarray(A)
         if A.ndim != 2 or A.size == 0:
             raise DimensionMismatch("expected a nonempty 2-d array")
         check_tolerance("zero_tol", zero_tol, zero_ok=True)
-        mags, peak = _magnitudes(A.ravel())
-        if not np.isfinite(peak).all():
+        # A view for a C-ordered array; otherwise flatiter slices copy one block.
+        flat = A.reshape(-1) if A.flags.c_contiguous else A.flat
+        dtype = _abs(flat[:1]).dtype
+        step = _BLOCK_BYTES // max(A.itemsize, dtype.itemsize)
+        buf = np.empty(min(A.size, step), dtype)
+        scale = None
+        peak = _block_peak(flat, A.size, buf)
+        if not np.isfinite(peak):
+            scale = reduce(
+                np.maximum,
+                (_largest_part(flat[k : k + step]) for k in range(0, A.size, step)),
+            )
+            if np.isfinite(scale):
+                peak = _block_peak(flat, A.size, buf, scale)
+        if not np.isfinite(peak):
             raise ValueError("matrix entries must be finite")
+        cut = zero_tol * peak
+        hits = [
+            np.flatnonzero(mags > cut) + k
+            for k, mags in _block_magnitudes(flat, A.size, buf, scale)
+        ]
         pattern = object.__new__(cls)
-        pattern.__dict__.update(
-            rows=A.shape[0],
-            cols=A.shape[1],
-            stars=_stars(np.flatnonzero(mags > zero_tol * peak), A.shape[1]),
-        )
+        pattern._set(A.shape[0], A.shape[1], np.concatenate(hits))
         return pattern
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "StructuralMatrix":
+        if not rows:
+            raise DimensionMismatch("a pattern needs at least one row")
         vecs = [StructuralVector.from_text(r) for r in rows]
         if len({len(v) for v in vecs}) > 1:
             raise DimensionMismatch("rows have differing lengths")
         return cls(len(vecs), len(vecs[0]), tuple(m for v in vecs for m in v.mask))
 
     @cached_property
+    def stars(self) -> tuple[tuple[int, int], ...]:
+        """1-based (row, col) positions of the stars, in row-major order."""
+        i, j = np.divmod(self.positions, self.cols)
+        return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+
+    @cached_property
     def mask(self) -> tuple[bool, ...]:
         """Row-major pattern as rows * cols Python bools; True marks a star."""
-        mask = [False] * (self.rows * self.cols)
-        for i, j in self.stars:
-            mask[(i - 1) * self.cols + (j - 1)] = True
-        return tuple(mask)
+        mask = np.zeros(self.rows * self.cols, dtype=bool)
+        mask[self.positions] = True
+        return tuple(mask.tolist())
 
     def entry(self, i: int, j: int) -> bool:
         """True iff position (i, j) is a star; indices are 1-based."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise DimensionMismatch(f"({i},{j}) outside {self.rows}x{self.cols}")
-        k = bisect_left(self.stars, (i, j))
-        return k < len(self.stars) and self.stars[k] == (i, j)
+        flat = (i - 1) * self.cols + (j - 1)
+        k = np.searchsorted(self.positions, flat)
+        return bool(k < self.positions.size and self.positions[k] == flat)
 
     def row(self, i: int) -> StructuralVector:
         """Pattern of row i (1-based)."""
         if not 1 <= i <= self.rows:
             raise IndexOutOfRange(f"row {i} outside 1..{self.rows}")
-        lo = bisect_left(self.stars, (i, 0))
-        hi = bisect_left(self.stars, (i + 1, 0), lo)
-        return StructuralVector.from_support((j for _, j in self.stars[lo:hi]), self.cols)
+        start = (i - 1) * self.cols
+        lo, hi = np.searchsorted(self.positions, (start, start + self.cols))
+        row = np.zeros(self.cols, dtype=bool)
+        row[self.positions[lo:hi] - start] = True
+        return StructuralVector(tuple(row.tolist()))
 
     @property
     def diagonal(self) -> tuple[bool, ...]:
-        on = {i for i, j in self.stars if i == j}
-        return tuple(i in on for i in range(1, min(self.rows, self.cols) + 1))
+        i, j = np.divmod(self.positions, self.cols)
+        on = np.zeros(min(self.rows, self.cols), dtype=bool)
+        on[i[i == j]] = True
+        return tuple(on.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StructuralMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and np.array_equal(
+            self.positions, other.positions
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.positions.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"StructuralMatrix(rows={self.rows}, cols={self.cols}, stars={self.stars})"
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))
 
 
-def _stars(flat: np.ndarray, cols: int) -> tuple[tuple[int, int], ...]:
-    """1-based (row, col) pairs of ascending row-major star positions."""
-    i, j = np.divmod(flat, cols)
-    return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+def _block_magnitudes(flat, size: int, buf: np.ndarray, scale=None):
+    """(start, |block|) for each ``len(buf)``-entry block of ``flat``.
+
+    The magnitudes are written into ``buf``, so each is valid only until
+    the next block is read. With ``scale``, each block is divided by it
+    first, as ``_magnitudes`` rescales a vector with an overflowing modulus.
+    """
+    step = len(buf)
+    for k in range(0, size, step):
+        block = flat[k : k + step]
+        if scale is not None:
+            block = block / scale
+        yield k, _abs(block, out=buf[: len(block)])
+
+
+def _block_peak(flat, size: int, buf: np.ndarray, scale=None):
+    """max |flat| over the blocks; NaN when any block holds a NaN."""
+    return reduce(np.maximum, (m.max() for _, m in _block_magnitudes(flat, size, buf, scale)))
 
 
 def structural_pattern(v, zero_tol: float = DEFAULT_ZERO_TOL) -> StructuralVector:
@@ -196,7 +263,7 @@ def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:
     every other magnitude is |V| to the bit. A peak stays non-finite
     exactly when its vector holds a NaN or an infinite part.
     """
-    mags = np.abs(V)
+    mags = _abs(V)
     peak = mags.max(axis=-1, keepdims=True)
     if np.isfinite(peak).all():
         return mags, peak
@@ -204,11 +271,25 @@ def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:
         X.reshape(-1, X.shape[-1]) for X in (np.asarray(V), mags, peak)
     )
     for i in np.flatnonzero(~np.isfinite(row_peaks[:, 0])):
-        largest = max(np.abs(rows[i].real).max(), np.abs(rows[i].imag).max())
+        largest = _largest_part(rows[i])
         if np.isfinite(largest):
             row_mags[i] = np.abs(rows[i] / largest)
             row_peaks[i] = row_mags[i].max()
     return mags, peak
+
+
+def _abs(V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|V| entry by entry; integers and bools are measured in float64.
+
+    In its own type, the most negative value of a signed integer is its
+    own absolute value, so it would read as negative and never as a star.
+    """
+    return np.abs(V, out=out, dtype=np.float64 if V.dtype.kind in "biu" else None)
+
+
+def _largest_part(V: np.ndarray):
+    """The largest |real| or |imag| part of V; NaN when a part is NaN."""
+    return np.maximum(np.abs(V.real).max(), np.abs(V.imag).max())
 
 
 def structural_geq(v: StructuralVector, w: StructuralVector) -> bool:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mincontrol import (
     DimensionMismatch,
@@ -184,10 +186,10 @@ class TestIsStructurallyControllable:
             )
 
     def test_length_checked_before_condensing(self, monkeypatch):
-        def no_condensation(graph):
+        def no_condensation(n, src, dst):
             raise AssertionError("condensation built before the length check")
 
-        monkeypatch.setattr(structural, "scc_dag", no_condensation)
+        monkeypatch.setattr(structural, "_condense", no_condensation)
         pattern = StructuralMatrix.from_numeric(np.eye(1500))
         with pytest.raises(DimensionMismatch, match="input pattern length 3 != 1500"):
             is_structurally_controllable(pattern, StructuralVector.from_text("***"))
@@ -318,7 +320,8 @@ class TestScipyCrossCheck:
 
 
 class TestSolveNeverBuildsTheMask:
-    """The MSCP solve works on the stars; the rows x cols mask is never built."""
+    """The MSCP solve works on the star positions: neither the rows x cols
+    mask nor the tuple of star pairs is ever built."""
 
     @pytest.mark.parametrize("n", [1, 7, 400])
     def test_solve_from_numeric(self, n):
@@ -330,6 +333,50 @@ class TestSolveNeverBuildsTheMask:
         assert is_structurally_controllable(pattern, b)
         assert compatible_mscp_solution(pattern, b) == b
         assert "mask" not in vars(pattern)
-        # ``mask`` is a cached property: reading it is what stores it.
+        assert "stars" not in vars(pattern)
+        # Both are cached properties: reading one is what stores it.
         assert sum(pattern.mask) == len(pattern.stars)
         assert "mask" in vars(pattern)
+        assert "stars" in vars(pattern)
+
+
+@st.composite
+def permuted_systems(draw):
+    """A full-diagonal numeric A, a vertex permutation p and a scale c."""
+    n = draw(st.integers(1, 10))
+    entries = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+    values = np.reshape(draw(st.lists(entries, min_size=n * n, max_size=n * n)), (n, n))
+    off = np.reshape(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), (n, n))
+    A = np.where(off | np.eye(n, dtype=bool), values, 0.0)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    c = draw(st.one_of(st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)))
+    return A, perm, c
+
+
+def _components(pattern):
+    """``structural._condense`` on a square pattern's star positions."""
+    dst, src = np.divmod(pattern.positions, pattern.cols)
+    return structural._condense(pattern.rows, src, dst)
+
+
+class TestPermutationSimilarity:
+    """Relabelling the states (A -> P A P^T) relabels the MSCP answer."""
+
+    @given(permuted_systems())
+    def test_support_and_components_follow_the_permutation(self, system):
+        A, perm, c = system
+        n = A.shape[0]
+        B = np.empty_like(A)
+        B[np.ix_(perm, perm)] = A  # state v of A is state perm[v] of B
+        pattern, permuted = StructuralMatrix.from_numeric(A), StructuralMatrix.from_numeric(B)
+        support = solve_mscp(pattern).support
+        assert solve_mscp(permuted).nnz == len(support)
+        moved = StructuralVector.from_support([perm[v - 1] + 1 for v in support], n)
+        assert is_structurally_controllable(permuted, moved)
+        dag, dag_p = _components(pattern), _components(permuted)
+        mapped = {
+            tuple(sorted(perm[v - 1] + 1 for v in comp)): flag
+            for comp, flag in zip(dag.components, dag.non_top_linked)
+        }
+        assert mapped == dict(zip(dag_p.components, dag_p.non_top_linked))
+        assert StructuralMatrix.from_numeric(c * A) == pattern

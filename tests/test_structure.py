@@ -8,10 +8,11 @@ from mincontrol import (
     IndexOutOfRange,
     StructuralMatrix,
     StructuralVector,
+    solve_mscp,
     structural_geq,
     structural_pattern,
 )
-from mincontrol.structure import _nonzero_mask
+from mincontrol.structure import _BLOCK_BYTES, _nonzero_mask
 
 patterns = st.integers(1, 8).flatmap(
     lambda n: st.tuples(*([st.booleans()] * n)).map(StructuralVector)
@@ -55,6 +56,15 @@ class TestStructuralPattern:
     def test_zero_tol_must_be_nonnegative_and_finite(self, zero_tol):
         with pytest.raises(ValueError, match="zero_tol must be nonnegative and finite"):
             structural_pattern([1.0, 0.0], zero_tol)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_most_negative_integer_is_a_star(self, dtype):
+        # In its own type, |min| is min: negative, so never above the cut.
+        low = np.iinfo(dtype).min
+        assert str(structural_pattern(np.array([low, 0, low], dtype=dtype))) == "*0*"
+        # 1 clears 1e-9 * 128 but not 1e-9 * 2**63.
+        expected = "**" if dtype == np.int8 else "*0"
+        assert str(structural_pattern(np.array([low, 1], dtype=dtype))) == expected
 
     def test_overflowing_modulus_is_a_star(self):
         # |z| of the first entry overflows to inf; its parts are finite.
@@ -145,6 +155,31 @@ class TestStructuralMatrixType:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             StructuralMatrix(2, 2, (True, False, True))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StructuralMatrix(-1, -1, [1]),
+            lambda: StructuralMatrix(0, 0, ()),
+            lambda: StructuralMatrix(0, 3, ()),
+            lambda: StructuralMatrix.from_rows([]),
+        ],
+    )
+    def test_degenerate_shapes_rejected(self, build):
+        with pytest.raises(DimensionMismatch):
+            build()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_most_negative_integer_is_a_star(self, dtype):
+        low = np.iinfo(dtype).min
+        A = np.array([[low, 0], [0, low]], dtype=dtype)
+        pattern = StructuralMatrix.from_numeric(A)
+        assert pattern.stars == ((1, 1), (2, 2))
+        assert str(solve_mscp(pattern)) == "**"
+        A[0, 1] = 1
+        assert StructuralMatrix.from_numeric(A).stars == (
+            ((1, 1), (1, 2), (2, 2)) if dtype == np.int8 else ((1, 1), (2, 2))
+        )
 
     def test_stars_of_nonsquare_pattern(self):
         rows = ["0*0", "*0*"]
@@ -286,3 +321,94 @@ class TestStarsFirstRepresentation:
         m = StructuralMatrix.from_rows(["*0", "0*"])
         with pytest.raises(AttributeError):
             m.rows = 3
+        for pattern in (m, StructuralMatrix.from_numeric(np.eye(2))):
+            with pytest.raises(ValueError):
+                pattern.positions[0] = 1
+
+
+def _whole_array_stars(A, zero_tol=1e-9):
+    """Star positions by the threshold rule applied to all of A at once."""
+    A = np.asarray(A)
+    mags = np.abs(A.astype(np.float64) if A.dtype.kind in "biu" else A)
+    peak = mags.max()
+    if not np.isfinite(peak):
+        largest = max(np.abs(A.real).max(), np.abs(A.imag).max())
+        if np.isfinite(largest):
+            mags = np.abs(A / largest)
+            peak = mags.max()
+    if not np.isfinite(peak):
+        raise ValueError("matrix entries must be finite")
+    return np.flatnonzero(mags > zero_tol * peak)
+
+
+class TestBlockwiseThreshold:
+    """``from_numeric`` reads A in blocks; it must agree with the whole-array rule.
+
+    Each matrix spans several blocks, and the interesting entries sit on
+    block edges or in a late block.
+    """
+
+    N = 150  # 22,500 entries: two to six blocks, by dtype
+
+    @staticmethod
+    def block_edges(A):
+        magnitude_size = A.real.itemsize if A.dtype.kind in "fc" else 8
+        step = _BLOCK_BYTES // max(A.itemsize, magnitude_size)
+        edges = np.arange(step, A.size, step)
+        return np.unique(np.concatenate([[0, A.size - 1], edges - 1, edges]))
+
+    def check(self, A, zero_tol=1e-9):
+        expected = _whole_array_stars(A, zero_tol)
+        strided = np.zeros((A.shape[0], 2 * A.shape[1]), dtype=A.dtype)[:, ::2]
+        strided[...] = A
+        for variant in (A, np.asfortranarray(A), strided):
+            pattern = StructuralMatrix.from_numeric(variant, zero_tol)
+            assert pattern.positions.tolist() == expected.tolist()
+        return expected
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.int8])
+    def test_stars_on_block_edges(self, dtype):
+        A = np.zeros((self.N, self.N), dtype=dtype)
+        edges = self.block_edges(A)
+        A.flat[edges] = 3
+        if A.dtype.kind in "fc":  # entries below the cut beside the edges
+            A.flat[edges[edges < A.size - 2] + 2] = 1e-12
+        stars = self.check(A)
+        assert stars.tolist() == edges.tolist()
+
+    def test_peak_in_the_last_block(self):
+        rng = np.random.default_rng(3)
+        A = rng.uniform(-1.0, 1.0, (self.N, self.N)) * 1e-8
+        A[-1, -1] = -2.0  # peak in the last entry: most of A is below the cut
+        assert self.check(A).size < A.size
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, -1, "edge"])
+    def test_nonfinite_in_any_block_raises(self, bad, where):
+        A = np.eye(self.N)
+        k = self.block_edges(A)[2] if where == "edge" else where
+        A.flat[k] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            StructuralMatrix.from_numeric(A)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            StructuralMatrix.from_numeric(A.astype(complex))
+
+    def test_overflowing_modulus_in_a_later_block(self):
+        A = np.eye(self.N, dtype=complex) * 1e300
+        A.flat[self.block_edges(A)[-2]] = complex(1.5e308, -1.5e308)
+        A[0, 1] = 1e290  # below the cut once A is scaled by its largest part
+        stars = self.check(A)
+        assert 1 not in stars.tolist()
+        assert self.block_edges(A)[-2] in stars.tolist()
+
+    def test_zero_tol_zero_keeps_every_nonzero(self):
+        A = np.zeros((self.N, self.N))
+        A.flat[self.block_edges(A)] = 5e-324  # subnormal, still nonzero
+        A[self.N // 2, 0] = 1.0
+        stars = self.check(A, zero_tol=0.0)
+        assert stars.size == self.block_edges(A).size + 1
+
+    def test_all_zero(self):
+        A = np.zeros((self.N, self.N))
+        assert self.check(A).size == 0
+        assert StructuralMatrix.from_numeric(A).stars == ()
