@@ -37,7 +37,7 @@ from .mcp import McpSolution, solve_mcp
 from .numerics import LeftEigenbasis, perturb_nonzero, validated_basis
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
-from .structural import _compatible_input, _mscp_condensation, _sparsest_input
+from .structural import _feed, _mscp_condensation
 from .structure import StructuralMatrix, _nonzero_mask, _patterns, structural_geq
 from .tolerances import DEFAULT_ZERO_TOL, Tolerances
 from .verify import _certify, kalman_test, pbh_eigenvector_test
@@ -346,10 +346,10 @@ def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 def _cmd_solve_mscp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     a_pattern = StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol)
     dag = _mscp_condensation(a_pattern)
-    b_pattern = _sparsest_input(dag)
+    b_pattern = _feed(dag)
     report.update(
         {
-            "matrix_pattern": [str(a_pattern.row(i)) for i in range(1, pf.n + 1)],
+            "matrix_pattern": str(a_pattern).split("\n"),
             "components": [list(c) for c in dag.components],
             "non_top_linked": [list(c) for c in dag.non_top_linked_components],
             "input_pattern": str(b_pattern),
@@ -407,11 +407,11 @@ def _cmd_oracle(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 
 def _cmd_compare(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     dag = _mscp_condensation(StructuralMatrix.from_numeric(pf.matrix, tol.zero_tol))
-    mscp_pattern = _sparsest_input(dag)
+    mscp_pattern = _feed(dag)
     solution = solve_mcp(
         pf.matrix, basis=_resolve_basis(pf, tol), tol=tol, exact_limit=args.exact_limit
     )
-    witness = _compatible_input(dag, solution.pattern)
+    witness = _feed(dag, solution.pattern)
     report.update(
         {
             "mcp": {

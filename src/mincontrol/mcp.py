@@ -16,6 +16,7 @@ on its smallest singular value or ranked by one SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,8 +33,8 @@ from .setcover import (
     EXACT_UNIVERSE_LIMIT,
     CoverSolution,
     SetCoverInstance,
-    _exact_cover,
-    _greedy_cover,
+    solve_exact,
+    solve_greedy,
 )
 from .structure import StructuralVector, _nonzero_mask, _patterns
 from .tolerances import DEFAULT_TAU, DEFAULT_ZERO_TOL, Tolerances, check_tolerance
@@ -68,28 +69,28 @@ class McpSolution:
     """Chosen support, its pattern, the realized vector, and the certificate.
 
     ``basis`` is the validated left-eigenbasis the solve ran on, and
-    ``eigenvector_patterns`` and ``cover_instance`` are the stages it
-    built on the way: one pattern per left eigenvector, in basis order,
-    and the set-cover instance reduced from them.
+    ``cover_instance`` the set-cover instance reduced from it, whose
+    incidence is the one store of ``eigenvector_patterns`` (one pattern
+    per left eigenvector, in basis order, built when read).
     """
 
     pattern: StructuralVector
     vector: np.ndarray
     mode: str
     certificate: VerificationReport
-    eigenvector_patterns: tuple[StructuralVector, ...]
     cover_instance: SetCoverInstance
     basis: LeftEigenbasis
 
     def __post_init__(self):
-        patterns = tuple(self.eigenvector_patterns)
-        object.__setattr__(self, "eigenvector_patterns", patterns)
         vec = np.asarray(self.vector, dtype=complex)
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-        nonzero = tuple((np.flatnonzero(vec) + 1).tolist())
-        if nonzero != self.pattern.support:
+        if not np.array_equal(np.flatnonzero(vec), self.pattern.positions):
             raise ValueError("vector support does not match the pattern")
+
+    @cached_property
+    def eigenvector_patterns(self) -> tuple[StructuralVector, ...]:
+        return _patterns(self.cover_instance.incidence.T)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -114,7 +115,7 @@ def build_cover_instance(patterns: Sequence[StructuralVector]) -> SetCoverInstan
     n = len(patterns[0])
     if any(len(pat) != n for pat in patterns):
         raise DimensionMismatch("patterns have differing lengths")
-    return _cover_instance(np.array([pat.mask for pat in patterns], dtype=bool))
+    return _cover_instance(np.array([pat._flags() for pat in patterns]))
 
 
 def _cover_instance(incidence: np.ndarray) -> SetCoverInstance:
@@ -122,11 +123,8 @@ def _cover_instance(incidence: np.ndarray) -> SetCoverInstance:
     empty = np.flatnonzero(~incidence.any(axis=1))
     if empty.size:
         raise ZeroPattern(f"pattern {empty[0] + 1} is all-zero; no support can reach it")
-    universe = frozenset(range(1, incidence.shape[0] + 1))
-    members = np.arange(1, incidence.shape[0] + 1)
-    return SetCoverInstance(
-        universe, tuple(frozenset(members[col].tolist()) for col in incidence.T)
-    )
+    incidence.flags.writeable = False
+    return SetCoverInstance._of(incidence.T)
 
 
 def support_from_cover(indices: Iterable[int], n: int) -> StructuralVector:
@@ -186,10 +184,8 @@ def _realize(
     ``nonzero`` is their incidence (``structure._nonzero_mask``),
     ``pattern`` has at least one star and ``tau`` is valid.
     """
-    n = len(pattern)
-
     # Step 1: the support must intersect every vector's nonzero pattern.
-    on_support = np.asarray(pattern.mask, dtype=bool)
+    on_support = pattern.positions
     missed = np.flatnonzero(~nonzero[:, on_support].any(axis=1))
     if missed.size:
         raise Infeasible(
@@ -199,7 +195,6 @@ def _realize(
     # Step 2: work in the support subspace, with the restricted vectors
     # stacked as rows and their norms computed once.
     p = pattern.nnz
-    support = pattern.support
     restricted = stacked[:, on_support]
     conj_restricted = restricted.conj()
     # Row by row, so each norm is the vector's own to the bit (a norm
@@ -238,7 +233,7 @@ def _realize(
     for k in range(p):
         if k not in _zero_entries(bp, tau):
             continue
-        pos = support[k]
+        pos = int(on_support[k]) + 1
         touching = np.flatnonzero(nonzero[:, pos - 1])
         if touching.size:
             direction = restricted[touching[0]]
@@ -264,8 +259,8 @@ def _realize(
         raise RepairFailed("a residual violation survived the repair loops")
 
     # Step 5: scatter back to full dimension.
-    b = np.zeros(n, dtype=complex)
-    b[[s - 1 for s in support]] = bp
+    b = np.zeros(len(pattern), dtype=complex)
+    b[on_support] = bp
     return b, RealizationStats(tuple(step3_counts), step4_counts)
 
 
@@ -299,14 +294,11 @@ def solve_mcp(
         A = as_square_matrix(A)
     basis = validated_basis(A, basis, tol.residual_tol, tol.gap_tol)
     # One threshold of the whole basis: row j is vector j's pattern and
-    # column i is set i, for the instance, the cover masks and step 1.
+    # column i is set i, for the instance, its cover and step 1.
     incidence = _nonzero_mask(basis.vectors, tol.zero_tol)
-    patterns = _patterns(incidence)
     instance = _cover_instance(incidence)
     cover: CoverSolution = (
-        _exact_cover(incidence.T, exact_limit)
-        if mode == "exact"
-        else _greedy_cover(incidence.T)
+        solve_exact(instance, exact_limit) if mode == "exact" else solve_greedy(instance)
     )
     pattern = StructuralVector.from_support(cover.indices, basis.n)
     b, _ = _realize(pattern, basis.vectors, incidence, tol.tau)
@@ -318,7 +310,6 @@ def solve_mcp(
         vector=b,
         mode=mode,
         certificate=report,
-        eigenvector_patterns=patterns,
         cover_instance=instance,
         basis=basis,
     )

@@ -72,6 +72,7 @@ def is_simple(eigenvalues, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
     check_tolerance("gap_tol", gap_tol)
     if lam.size == 1:
         return True
+    lam = times_power_of_two(lam, power_of_two_exponent(lam))
     diffs = np.abs(lam[:, None] - lam[None, :])
     min_gap = diffs[~np.eye(lam.size, dtype=bool)].min()
     return bool(min_gap > gap_tol * np.abs(lam).max())

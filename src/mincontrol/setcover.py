@@ -13,7 +13,8 @@ whenever the rest can still be covered within the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -23,28 +24,56 @@ from .errors import TooLarge
 EXACT_UNIVERSE_LIMIT = 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SetCoverInstance:
-    """Universe plus an ordered family of subsets whose union covers it."""
+    """An ordered family of subsets of the universe {1..m} whose union covers it.
 
-    universe: frozenset[int]
-    sets: tuple[frozenset[int], ...]
+    Held as ``incidence``, a read-only sets x elements boolean array, from
+    which ``universe`` and ``sets`` are built when read.
+    """
 
-    def __post_init__(self):
-        universe = frozenset(self.universe)
-        sets = tuple(frozenset(s) for s in self.sets)
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "sets", sets)
-        union = frozenset().union(*sets) if sets else frozenset()
-        for k, s in enumerate(sets, start=1):
+    incidence: np.ndarray
+
+    def __init__(self, universe: Iterable[int], sets: Iterable[Iterable[int]]):
+        universe, sets = frozenset(universe), [frozenset(s) for s in sets]
+        if universe != frozenset(range(1, len(universe) + 1)):
+            raise ValueError("the universe must be {1..m}")
+        incidence = np.zeros((len(sets), len(universe)), dtype=bool)
+        for k, (row, s) in enumerate(zip(incidence, sets), start=1):
             if not s <= universe:
                 raise ValueError(f"set {k} is not a subset of the universe")
-        if union != universe:
+            row[np.fromiter(s, np.intp, len(s)) - 1] = True
+        if not incidence.any(axis=0).all():
             raise ValueError("the family does not cover the universe")
+        incidence.flags.writeable = False
+        self.__dict__["incidence"] = incidence
+
+    @classmethod
+    def _of(cls, incidence: np.ndarray) -> "SetCoverInstance":
+        """The instance of a read-only incidence whose every column has a star."""
+        instance = object.__new__(cls)
+        instance.__dict__["incidence"] = incidence
+        return instance
+
+    @cached_property
+    def universe(self) -> frozenset[int]:
+        return frozenset(range(1, self.incidence.shape[1] + 1))
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.incidence)
 
     @property
     def n_sets(self) -> int:
-        return len(self.sets)
+        return self.incidence.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SetCoverInstance):
+            return NotImplemented
+        return np.array_equal(self.incidence, other.incidence)
+
+    def __hash__(self) -> int:
+        return hash((self.incidence.shape, self.incidence.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -64,19 +93,6 @@ class CoverSolution:
     @property
     def sorted_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.indices))
-
-
-def _incidence(instance: SetCoverInstance) -> np.ndarray:
-    """Sets x elements boolean incidence; column k is the k-th smallest element."""
-    bit = {e: k for k, e in enumerate(sorted(instance.universe))}
-    lengths = [len(s) for s in instance.sets]
-    incidence = np.zeros((instance.n_sets, len(bit)), dtype=bool)
-    columns = map(bit.__getitem__, chain.from_iterable(instance.sets))
-    incidence[
-        np.repeat(np.arange(instance.n_sets), lengths),
-        np.fromiter(columns, np.intp, sum(lengths)),
-    ] = True
-    return incidence
 
 
 def _row_masks(bits: np.ndarray) -> list[int]:
@@ -158,7 +174,7 @@ def _lex_smallest_cover(incidence: np.ndarray) -> tuple[int, ...]:
     sets_of = _row_masks(incidence.T)
     weights = incidence.astype(np.float32)
     neighbours = _row_masks(weights.T @ weights > 0)
-    max_size = max(m.bit_count() for m in masks)
+    max_size = max((m.bit_count() for m in masks), default=0)
     failed: dict[int, int] = {}
     lo = 0
 
@@ -203,18 +219,12 @@ def solve_exact(
     in index order with the same search and memo. Raises TooLarge when
     the universe exceeds ``exact_limit`` elements.
     """
-    return _exact_cover(_incidence(instance), exact_limit)
-
-
-def _exact_cover(incidence: np.ndarray, exact_limit: int) -> CoverSolution:
-    """``solve_exact`` on a sets x elements boolean incidence."""
+    incidence = instance.incidence
     if incidence.shape[1] > exact_limit:
         raise TooLarge(
             f"universe has {incidence.shape[1]} elements; exact solving is "
             f"limited to {exact_limit} (use the greedy solver instead)"
         )
-    if not incidence.shape[1]:
-        return CoverSolution(frozenset(), exact=True)
     combo = _lex_smallest_cover(incidence)
     return CoverSolution(frozenset(i + 1 for i in combo), exact=True)
 
@@ -225,12 +235,6 @@ def solve_greedy(instance: SetCoverInstance) -> CoverSolution:
     Always returns a cover; its size is within a factor (1 + ln|U|) of
     the optimum.
     """
-    return _greedy_cover(_incidence(instance))
-
-
-def _greedy_cover(incidence: np.ndarray) -> CoverSolution:
-    """``solve_greedy`` on a sets x elements boolean incidence."""
-    if not incidence.shape[1]:
-        return CoverSolution(frozenset(), exact=False)
+    incidence = instance.incidence
     chosen = _greedy_masks((1 << incidence.shape[1]) - 1, _row_masks(incidence))
     return CoverSolution(frozenset(i + 1 for i in chosen), exact=False)

@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSelfLoops, NotSquare
-from .structure import StructuralMatrix, StructuralVector
+from .structure import StructuralMatrix, StructuralVector, structural_geq
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,15 @@ def _tarjan(n: int, offsets: list[int], targets: list[int]) -> list[int]:
     return label
 
 
-def _require_full_diagonal(pattern: StructuralMatrix):
+def _mscp_condensation(
+    pattern: StructuralMatrix, b_pattern: StructuralVector | None = None
+) -> SccDag:
+    """Condensation of a full-diagonal pattern's state digraph.
+
+    Raises MissingSelfLoops when a diagonal position is zero, since the
+    solvers below cover only that case, and then DimensionMismatch when
+    ``b_pattern`` is not one entry per state, both before condensing.
+    """
     if pattern.rows != pattern.cols:
         raise NotSquare(f"pattern is {pattern.rows}x{pattern.cols}")
     missing = [i + 1 for i, d in enumerate(pattern.diagonal) if not d]
@@ -164,40 +172,22 @@ def _require_full_diagonal(pattern: StructuralMatrix):
             "structural problem needs a matching-based algorithm, not "
             "implemented here)"
         )
-
-
-def _mscp_condensation(pattern: StructuralMatrix) -> SccDag:
-    """Condensation of a full-diagonal pattern's state digraph.
-
-    Raises MissingSelfLoops when a diagonal position is zero, since the
-    solvers below cover only that case.
-    """
-    _require_full_diagonal(pattern)
+    if b_pattern is not None and len(b_pattern) != pattern.rows:
+        raise DimensionMismatch(f"input pattern length {len(b_pattern)} != {pattern.rows}")
     dst, src = np.divmod(pattern.positions, pattern.cols)
     return _condense(pattern.rows, src, dst)
 
 
-def _sparsest_input(dag: SccDag) -> StructuralVector:
-    """One star per non-top-linked component, at its lowest-index vertex."""
-    support = [comp[0] for comp in dag.non_top_linked_components]
+def _feed(dag: SccDag, reference: StructuralVector | None = None) -> StructuralVector:
+    """A sparsest input: one star per non-top-linked component, at the
+    lowest vertex ``reference`` actuates, else at its lowest vertex."""
+    # Keyed by each component's lowest vertex; walking the support downward
+    # leaves the lowest actuated vertex of each.
+    actuated = {}
+    for v in reversed(reference.support if reference is not None else ()):
+        actuated[dag.components[dag.membership[v - 1]][0]] = v
+    support = [actuated.get(comp[0], comp[0]) for comp in dag.non_top_linked_components]
     return StructuralVector.from_support(support, len(dag.membership))
-
-
-def _compatible_input(dag: SccDag, reference: StructuralVector) -> StructuralVector:
-    """A sparsest input dominated by ``reference`` where possible.
-
-    Per non-top-linked component, the lowest vertex ``reference``
-    actuates, else the component's lowest vertex.
-    """
-    n = len(dag.membership)
-    if len(reference) != n:
-        raise DimensionMismatch(f"reference pattern length {len(reference)} != {n}")
-    starred = set(reference.support)
-    support = []
-    for comp in dag.non_top_linked_components:
-        inside = sorted(starred.intersection(comp))
-        support.append(inside[0] if inside else comp[0])
-    return StructuralVector.from_support(support, n)
 
 
 def solve_mscp(pattern: StructuralMatrix) -> StructuralVector:
@@ -206,23 +196,15 @@ def solve_mscp(pattern: StructuralMatrix) -> StructuralVector:
     Places one star per non-top-linked component, at its lowest-index
     vertex; no sparser pattern can reach every such component.
     """
-    return _sparsest_input(_mscp_condensation(pattern))
+    return _feed(_mscp_condensation(pattern))
 
 
 def is_structurally_controllable(
     pattern: StructuralMatrix, b_pattern: StructuralVector
 ) -> bool:
     """Whether the input pattern feeds every non-top-linked component."""
-    if len(b_pattern) != pattern.rows:
-        _require_full_diagonal(pattern)  # its errors take precedence
-        raise DimensionMismatch(
-            f"input pattern length {len(b_pattern)} != {pattern.rows}"
-        )
-    dag = _mscp_condensation(pattern)
-    starred = set(b_pattern.support)
-    return all(
-        starred.intersection(comp) for comp in dag.non_top_linked_components
-    )
+    dag = _mscp_condensation(pattern, b_pattern)
+    return structural_geq(b_pattern, _feed(dag, b_pattern))
 
 
 def compatible_mscp_solution(
@@ -235,4 +217,4 @@ def compatible_mscp_solution(
     per component, the lowest vertex the reference pattern already
     actuates, falling back to the component's lowest vertex.
     """
-    return _compatible_input(_mscp_condensation(pattern), reference)
+    return _feed(_mscp_condensation(pattern, reference), reference)

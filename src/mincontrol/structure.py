@@ -6,8 +6,9 @@ output and golden files. Positions are 1-based in all public indices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import cached_property, reduce
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,48 +22,98 @@ _ZERO = "0"
 _TEXT = bytes.maketrans(b"\x00\x01", (_ZERO + _STAR).encode())
 
 
-@dataclass(frozen=True)
-class StructuralVector:
-    """Pattern over {0, *}; ``mask[i]`` is True where entry i+1 is nonzero."""
+class _Pattern:
+    """A pattern over {0, *} held once, as ``positions``: the ascending
+    0-based row-major indices of its stars in one read-only integer
+    array. ``mask`` and the text are built from it when read. Two
+    patterns are equal exactly when their class, shape and stars are.
+    """
 
-    mask: tuple[bool, ...]
+    positions: np.ndarray
 
-    def __post_init__(self):
-        if len(self.mask) == 0:
-            raise ValueError("structural vector must have positive length")
-        object.__setattr__(self, "mask", tuple(map(bool, self.mask)))
+    def __init__(self, mask: Sequence[bool], **shape: int):
+        flags = np.fromiter(map(bool, mask), dtype=bool, count=len(mask))
+        self._set(np.flatnonzero(flags), **shape)
+
+    def _set(self, positions: np.ndarray, **shape: int):
+        dims = tuple(shape.values())
+        if min(dims) < 1:
+            raise DimensionMismatch(f"pattern shape {dims} is not positive")
+        positions.flags.writeable = False
+        self.__dict__.update(shape, positions=positions, _shape=dims)
+
+    @classmethod
+    def _of(cls, positions: np.ndarray, **shape: int):
+        pattern = object.__new__(cls)
+        pattern._set(positions, **shape)
+        return pattern
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def nnz(self) -> int:
+        return self.positions.size
+
+    @cached_property
+    def mask(self) -> tuple[bool, ...]:
+        """Entries in row-major order as Python bools; True marks a star."""
+        return tuple(self._flags().tolist())
+
+    def _flags(self) -> np.ndarray:
+        flags = np.zeros(prod(self._shape), dtype=bool)
+        flags[self.positions] = True
+        return flags
+
+    def __str__(self) -> str:
+        """One line of '0' and '*' per row."""
+        text = self._flags().tobytes().translate(_TEXT).decode()
+        width = self._shape[-1]
+        return "\n".join(text[k : k + width] for k in range(0, len(text), width))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {str(self)!r}>"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape == other._shape and np.array_equal(self.positions, other.positions)
+
+    def __hash__(self) -> int:
+        return hash((self._shape, self.positions.tobytes()))
+
+
+class StructuralVector(_Pattern):
+    """Pattern over {0, *} of length n; ``mask[i]`` is True where entry i+1 is nonzero."""
+
+    n: int
+
+    def __init__(self, mask: Sequence[bool]):
+        super().__init__(mask, n=len(mask))
 
     @classmethod
     def from_text(cls, text: str) -> "StructuralVector":
         bad = set(text) - {_STAR, _ZERO}
         if bad:
             raise ValueError(f"pattern text may contain only '0' and '*', got {bad}")
-        return cls(tuple(c == _STAR for c in text))
+        return cls([c == _STAR for c in text])
 
     @classmethod
     def from_support(cls, support: Iterable[int], n: int) -> "StructuralVector":
         """Pattern of length n with stars at the given 1-based positions."""
-        mask = [False] * n
-        for i in support:
+        positions = sorted(set(map(operator.index, support)))
+        for i in positions[:1] + positions[-1:]:  # sorted: the ends bound the rest
             if not 1 <= i <= n:
                 raise IndexOutOfRange(f"position {i} outside 1..{n}")
-            mask[i - 1] = True
-        return cls(tuple(mask))
+        return cls._of(np.array(positions, dtype=np.intp) - 1, n=n)
 
     def __len__(self) -> int:
-        return len(self.mask)
-
-    def __str__(self) -> str:
-        return bytes(self.mask).translate(_TEXT).decode()
-
-    @property
-    def nnz(self) -> int:
-        return sum(self.mask)
+        return self.n
 
     @property
     def support(self) -> tuple[int, ...]:
         """1-based positions of the stars, ascending."""
-        return tuple(i + 1 for i, m in enumerate(self.mask) if m)
+        return tuple((self.positions + 1).tolist())
 
 
 #: Bytes per block in ``StructuralMatrix.from_numeric``: a block of A,
@@ -72,32 +123,20 @@ class StructuralVector:
 _BLOCK_BYTES = 64 * 1024
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class StructuralMatrix:
+class StructuralMatrix(_Pattern):
     """Row-major pattern over {0, *} for a rows x cols matrix.
 
-    The pattern is held as ``positions``, the ascending 0-based
-    row-major indices of its stars in one read-only integer array, so it
-    takes O(rows + nnz) memory. ``stars`` (1-based pairs) and ``mask``
-    (the rows * cols tuple of bools) are built only when read. Two
-    patterns are equal exactly when their shapes and stars are.
+    ``positions`` takes O(nnz) memory; ``stars`` (1-based pairs) and
+    ``mask`` (the rows * cols tuple of bools) are built only when read.
     """
 
     rows: int
     cols: int
-    positions: np.ndarray
 
     def __init__(self, rows: int, cols: int, mask: Sequence[bool]):
-        if rows < 1 or cols < 1:
-            raise DimensionMismatch(f"pattern shape {rows}x{cols} is not positive")
         if len(mask) != rows * cols:
             raise DimensionMismatch(f"pattern length {len(mask)} != {rows}x{cols}")
-        flags = np.fromiter(map(bool, mask), dtype=bool, count=len(mask))
-        self._set(rows, cols, np.flatnonzero(flags))
-
-    def _set(self, rows: int, cols: int, positions: np.ndarray):
-        positions.flags.writeable = False
-        self.__dict__.update(rows=rows, cols=cols, positions=positions)
+        super().__init__(mask, rows=rows, cols=cols)
 
     @classmethod
     def from_numeric(cls, A, zero_tol: float = DEFAULT_ZERO_TOL) -> "StructuralMatrix":
@@ -132,31 +171,22 @@ class StructuralMatrix:
             np.flatnonzero(mags > cut) + k
             for k, mags in _block_magnitudes(flat, A.size, buf, scale)
         ]
-        pattern = object.__new__(cls)
-        pattern._set(A.shape[0], A.shape[1], np.concatenate(hits))
-        return pattern
+        return cls._of(np.concatenate(hits), rows=A.shape[0], cols=A.shape[1])
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "StructuralMatrix":
         if not rows:
             raise DimensionMismatch("a pattern needs at least one row")
-        vecs = [StructuralVector.from_text(r) for r in rows]
-        if len({len(v) for v in vecs}) > 1:
+        if len({len(r) for r in rows}) > 1:
             raise DimensionMismatch("rows have differing lengths")
-        return cls(len(vecs), len(vecs[0]), tuple(m for v in vecs for m in v.mask))
+        flat = StructuralVector.from_text("".join(rows))
+        return cls._of(flat.positions, rows=len(rows), cols=len(rows[0]))
 
     @cached_property
     def stars(self) -> tuple[tuple[int, int], ...]:
         """1-based (row, col) positions of the stars, in row-major order."""
         i, j = np.divmod(self.positions, self.cols)
         return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
-
-    @cached_property
-    def mask(self) -> tuple[bool, ...]:
-        """Row-major pattern as rows * cols Python bools; True marks a star."""
-        mask = np.zeros(self.rows * self.cols, dtype=bool)
-        mask[self.positions] = True
-        return tuple(mask.tolist())
 
     def entry(self, i: int, j: int) -> bool:
         """True iff position (i, j) is a star; indices are 1-based."""
@@ -172,9 +202,7 @@ class StructuralMatrix:
             raise IndexOutOfRange(f"row {i} outside 1..{self.rows}")
         start = (i - 1) * self.cols
         lo, hi = np.searchsorted(self.positions, (start, start + self.cols))
-        row = np.zeros(self.cols, dtype=bool)
-        row[self.positions[lo:hi] - start] = True
-        return StructuralVector(tuple(row.tolist()))
+        return StructuralVector._of(self.positions[lo:hi] - start, n=self.cols)
 
     @property
     def diagonal(self) -> tuple[bool, ...]:
@@ -182,22 +210,6 @@ class StructuralMatrix:
         on = np.zeros(min(self.rows, self.cols), dtype=bool)
         on[i[i == j]] = True
         return tuple(on.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructuralMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and np.array_equal(
-            self.positions, other.positions
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.positions.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"StructuralMatrix(rows={self.rows}, cols={self.cols}, stars={self.stars})"
-
-    def __str__(self) -> str:
-        return "\n".join(str(self.row(i)) for i in range(1, self.rows + 1))
 
 
 def _block_magnitudes(flat, size: int, buf: np.ndarray, scale=None):
@@ -251,7 +263,8 @@ def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
 
 def _patterns(incidence: np.ndarray) -> tuple[StructuralVector, ...]:
     """One ``StructuralVector`` per row of a boolean incidence."""
-    return tuple(map(StructuralVector, incidence.tolist()))
+    n = incidence.shape[1]
+    return tuple(StructuralVector._of(np.flatnonzero(row), n=n) for row in incidence)
 
 
 def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:
@@ -296,4 +309,4 @@ def structural_geq(v: StructuralVector, w: StructuralVector) -> bool:
     """True iff every star of w is also a star of v."""
     if len(v) != len(w):
         raise DimensionMismatch(f"lengths differ: {len(v)} vs {len(w)}")
-    return all(a or not b for a, b in zip(v.mask, w.mask))
+    return bool(np.isin(w.positions, v.positions, assume_unique=True).all())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,13 @@ class TestSolveMscpCommand:
         assert report["support"] == [2, 4]
         assert report["non_top_linked"] == [[2], [4]]
 
+    def test_golden_report(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["solve-mscp", "tests/data/golden5.json", "--json", "--no-timings"]
+        assert run_command(argv) == 0
+        golden = (REPO_ROOT / "tests" / "data" / "golden5_solve-mscp_report.json").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_zero_diagonal_exits_one(self, capsys, tmp_path):
         path = tmp_path / "no_loop.json"
         path.write_text('{"matrix": [[0, 1], [1, 1]]}')
@@ -697,6 +705,18 @@ class TestScaledInputs:
         assert code == 0
         assert report["solution"]["support"] == [1]
 
+    def test_overflowing_eigenvalue_gap(self, capsys, tmp_path):
+        # Eigenvalues 1e308 -+ 1e308j: their difference overflows in A's
+        # units, so the simplicity check scales the spectrum first.
+        path = tmp_path / "huge_gap.json"
+        path.write_text('{"matrix": [[1e308, -1e308], [1e308, 1e308]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_json(capsys, "solve-mcp", str(path))
+        assert code == 0
+        assert report["status"] == "ok"
+        assert report["solution"]["support"] == [1]
+
 
 class TestOracleCommand:
     def test_worked_example(self, capsys, golden_path):
@@ -716,6 +736,13 @@ class TestCompareCommand:
         assert report["mscp"]["pattern"] == "0*0*0"
         assert report["dominance"]["holds"]
         assert report["size_gap"] == 1
+
+    def test_golden_report(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["compare", "tests/data/golden5.json", "--json", "--no-timings"]
+        assert run_command(argv) == 0
+        golden = (REPO_ROOT / "tests" / "data" / "golden5_compare_report.json").read_text()
+        assert capsys.readouterr().out == golden
 
     def test_text_output(self, capsys, golden_path):
         code = run_command(["compare", golden_path])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,30 @@ class TestIsSimple:
     def test_gap_tol_must_be_positive_and_finite(self, gap_tol):
         with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
             is_simple([1.0, 2.0], gap_tol)
+
+    @pytest.mark.parametrize(
+        "lam, simple",
+        [
+            ([1.5e308 + 1.5e308j, 1.0], True),
+            ([1e308 - 1e308j, 1e308 + 1e308j], True),
+            ([1.7e308, -1.7e308, 0.0], True),
+            ([1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j], False),
+            ([1.7e308, 1.7e308 * (1 - 1e-12)], False),
+        ],
+    )
+    def test_overflowing_differences(self, lam, simple):
+        # A difference or a modulus overflows in the spectrum's own units;
+        # the verdict is still that of the spectrum / 4, and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_simple(lam) is simple
+            assert is_simple(np.array(lam) / 4) is simple
+
+    def test_supplied_basis_with_an_overflowing_gap(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = LeftEigenbasis([1.5e308 + 1.5e308j, 1.0], np.eye(2))
+        assert basis.n == 2
 
 
 class TestNumericalRank:

@@ -328,6 +328,22 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             SetCoverInstance(frozenset({1, 2}), (frozenset({1}),))
 
+    @pytest.mark.parametrize("universe", [{0, 1}, {1, 3}, {2}, {"a"}])
+    def test_universe_must_be_one_to_m(self, universe):
+        with pytest.raises(ValueError, match="universe must be"):
+            SetCoverInstance(frozenset(universe), (frozenset(universe),))
+
+    def test_incidence_is_the_store(self):
+        assert WORKED.incidence.shape == (5, 5)
+        assert WORKED.incidence[1].tolist() == [True, False, False, True, False]
+        assert not WORKED.incidence.flags.writeable
+        same = SetCoverInstance(range(1, 6), [list(s) for s in WORKED.sets])
+        assert same == WORKED and hash(same) == hash(WORKED)
+        assert SetCoverInstance({1}, [{1}]) != SetCoverInstance({1}, [{1}, {1}])
+        assert SetCoverInstance(set(), [set()]) != SetCoverInstance(set(), [])
+        # Elements equal to 1..m in another type are those elements.
+        assert SetCoverInstance({1.0, 2}, [{True}, {2.0}]) == SetCoverInstance({1, 2}, [{1}, {2}])
+
     def test_cover_solution_normalizes(self):
         sol = CoverSolution({3, 1}, exact=True)
         assert sol.sorted_indices == (1, 3)

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import itertools
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 from mincontrol import (
     DimensionMismatch,
+    MincontrolError,
     MissingSelfLoops,
     NotSquare,
     StateDigraph,
@@ -15,10 +21,12 @@ from mincontrol import (
     compatible_mscp_solution,
     is_structurally_controllable,
     scc_dag,
+    solve_mcp,
     solve_mscp,
     state_digraph,
 )
 from mincontrol import structural
+from mincontrol.cli import run_command
 
 
 def golden_pattern(golden_a):
@@ -212,6 +220,12 @@ class TestCompatibleSolution:
         assert is_structurally_controllable(pattern, witness)
         assert witness.nnz == canonical.nnz
 
+    def test_picks_the_lowest_actuated_vertex(self):
+        # one source component {1,2,3}; reference actuates vertices 2 and 3
+        pattern = StructuralMatrix.from_rows(["***", "***", "***"])
+        witness = compatible_mscp_solution(pattern, StructuralVector.from_text("0**"))
+        assert str(witness) == "0*0"
+
     def test_falls_back_to_lowest_vertex(self):
         pattern = StructuralMatrix.from_rows(["*00", "0*0", "00*"])
         witness = compatible_mscp_solution(
@@ -331,23 +345,52 @@ class TestSolveNeverBuildsTheMask:
         pattern = StructuralMatrix.from_numeric(A)
         b = solve_mscp(pattern)
         assert is_structurally_controllable(pattern, b)
-        assert compatible_mscp_solution(pattern, b) == b
+        witness = compatible_mscp_solution(pattern, b)
+        assert witness == b
+        # Nor is any vector's: they too are held as star positions.
+        assert "mask" not in vars(b)
+        assert "mask" not in vars(witness)
         assert "mask" not in vars(pattern)
         assert "stars" not in vars(pattern)
         # Both are cached properties: reading one is what stores it.
         assert sum(pattern.mask) == len(pattern.stars)
         assert "mask" in vars(pattern)
         assert "stars" in vars(pattern)
+        assert sum(b.mask) == b.nnz
+        assert "mask" in vars(b)
+
+    def test_solve_mcp_builds_its_views_when_read(self, golden_a):
+        # The cover instance's incidence is the one store of the patterns.
+        solution = solve_mcp(golden_a)
+        instance = solution.cover_instance
+        assert "eigenvector_patterns" not in vars(solution)
+        assert "sets" not in vars(instance)
+        assert "universe" not in vars(instance)
+        assert "mask" not in vars(solution.pattern)
+        patterns = solution.eigenvector_patterns
+        assert [str(p) for p in patterns] == ["**00*", "00*0*", "000*0", "0*000", "*0**0"]
+        assert all("mask" not in vars(p) for p in patterns)
+        assert "eigenvector_patterns" in vars(solution)
+        assert instance.sets[1] == frozenset({1, 4})
+        assert "sets" in vars(instance)
+
+
+@st.composite
+def full_diagonal_systems(draw):
+    """A numeric A, n <= 10, with a full diagonal; each entry is 0 (off
+    the diagonal only) or of magnitude in [0.5, 2]."""
+    n = draw(st.integers(1, 10))
+    entries = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+    values = np.reshape(draw(st.lists(entries, min_size=n * n, max_size=n * n)), (n, n))
+    off = np.reshape(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), (n, n))
+    return np.where(off | np.eye(n, dtype=bool), values, 0.0)
 
 
 @st.composite
 def permuted_systems(draw):
     """A full-diagonal numeric A, a vertex permutation p and a scale c."""
-    n = draw(st.integers(1, 10))
-    entries = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
-    values = np.reshape(draw(st.lists(entries, min_size=n * n, max_size=n * n)), (n, n))
-    off = np.reshape(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), (n, n))
-    A = np.where(off | np.eye(n, dtype=bool), values, 0.0)
+    A = draw(full_diagonal_systems())
+    n = A.shape[0]
     perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
     c = draw(st.one_of(st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)))
     return A, perm, c
@@ -380,3 +423,30 @@ class TestPermutationSimilarity:
         }
         assert mapped == dict(zip(dag_p.components, dag_p.non_top_linked))
         assert StructuralMatrix.from_numeric(c * A) == pattern
+
+
+class TestMcpAgainstMscp:
+    """Numerical controllability implies structural controllability: a
+    certified MCP support feeds every source component of A's pattern,
+    so it is no smaller than the MSCP solution, and ``compare`` finds a
+    sparsest structural input that it dominates."""
+
+    @given(full_diagonal_systems())
+    def test_certified_support_controls_the_pattern(self, A):
+        try:
+            solution = solve_mcp(A)
+        except MincontrolError:
+            return  # not simple, or not certified: nothing is claimed
+        pattern = StructuralMatrix.from_numeric(A)
+        assert is_structurally_controllable(pattern, solution.pattern)
+        assert solution.size >= solve_mscp(pattern).nnz
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "system.json"
+            path.write_text(json.dumps({"matrix": A.tolist()}))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run_command(["compare", str(path), "--json", "--no-timings"])
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert report["mcp"]["support"] == list(solution.support)
+        assert report["dominance"]["holds"]

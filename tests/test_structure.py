@@ -115,6 +115,59 @@ class TestStructuralGeq:
             assert structural_geq(u, w)
 
 
+@st.composite
+def vectors_with_others(draw):
+    """A tuple-of-bools reference and a second one: equal, the same
+    length, or any length."""
+    ref = tuple(draw(st.lists(st.booleans(), min_size=1, max_size=40)))
+    same_length = st.lists(st.booleans(), min_size=len(ref), max_size=len(ref))
+    any_length = st.lists(st.booleans(), min_size=1, max_size=40)
+    other = draw(st.one_of(st.just(ref), same_length.map(tuple), any_length.map(tuple)))
+    return ref, other
+
+
+class TestVectorMatchesTupleReference:
+    """A ``StructuralVector`` held as star positions answers every query as
+    the tuple of bools it was built from does."""
+
+    @given(vectors_with_others())
+    def test_queries(self, refs):
+        ref, other = refs
+        v, w = StructuralVector(ref), StructuralVector(other)
+        text = "".join("*" if b else "0" for b in ref)
+        support = tuple(i + 1 for i, b in enumerate(ref) if b)
+        assert str(v) == text
+        assert v.support == support
+        assert v.nnz == sum(ref)
+        assert len(v) == len(ref)
+        assert v.mask == ref
+        assert all(type(m) is bool for m in v.mask)
+        assert (v == w) is (ref == other)
+        assert (v != w) is (ref != other)
+        if ref == other:
+            assert hash(v) == hash(w)
+        if len(ref) == len(other):
+            dominates = all(a or not b for a, b in zip(ref, other))
+            assert structural_geq(v, w) is dominates
+        else:
+            with pytest.raises(DimensionMismatch):
+                structural_geq(v, w)
+
+    @given(vectors_with_others())
+    def test_round_trips(self, refs):
+        ref, _ = refs
+        v = StructuralVector(ref)
+        assert StructuralVector.from_text(str(v)) == v
+        assert StructuralVector.from_support(v.support, len(v)) == v
+        assert StructuralVector.from_support(reversed(v.support), len(v)) == v
+        # Equal stars in another shape or class are another pattern.
+        row = StructuralMatrix(1, len(ref), ref)
+        assert v != row and row != v
+        assert repr(v).startswith("<StructuralVector ")
+        assert str(row.row(1)) == str(v)
+        assert row.row(1) == v
+
+
 class TestStructuralVectorType:
     def test_text_round_trip(self):
         for text in ("0***0", "*", "0", "**0*"):
@@ -134,10 +187,15 @@ class TestStructuralVectorType:
         for position in (0, 6):
             with pytest.raises(IndexOutOfRange):
                 StructuralVector.from_support([2, position], 5)
+        for position in (1.5, "2"):
+            with pytest.raises(TypeError):
+                StructuralVector.from_support([position], 5)
 
     def test_empty_length_rejected(self):
         with pytest.raises(ValueError):
             StructuralVector(())
+        with pytest.raises(DimensionMismatch):
+            StructuralVector.from_support([], 0)
 
 
 class TestStructuralMatrixType:
