@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -38,7 +38,7 @@ from .numerics import LeftEigenbasis, perturb_nonzero, validated_basis
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mcp
 from .setcover import EXACT_UNIVERSE_LIMIT
 from .structural import _feed, _mscp_condensation
-from .structure import StructuralMatrix, _nonzero_mask, _patterns, structural_geq
+from .structure import StructuralMatrix, _nonzero_mask, _pattern_lines, structural_geq
 from .tolerances import DEFAULT_ZERO_TOL, Tolerances
 from .verify import _certify, kalman_test, pbh_eigenvector_test
 
@@ -219,22 +219,22 @@ def _matrix_digest(matrix) -> str:
     """SHA-256 of ``_complex2j(matrix)`` as compact JSON.
 
     Only the entries other than +0.0 + 0.0j go through the encoder, in one
-    call; every other entry takes the constant "0.0,0.0" between brackets.
+    call; each run of zeros is one slice of the all-zero matrix's text, where
+    entry k's "0.0,0.0" starts 10 characters after k-1's, 2 more at a new row.
     """
     M = np.asarray(matrix, dtype=complex)
-    pairs = np.stack([M.real, M.imag], -1)
-    nonzero = ((pairs != 0) | np.signbit(pairs)).any(-1)
-    tokens = ["0.0,0.0"] * M.size
-    if nonzero.any():
-        encoded = json.dumps(pairs[nonzero].tolist(), separators=(",", ":"))
-        for k, token in zip(np.flatnonzero(nonzero).tolist(), encoded[2:-2].split("],[")):
-            tokens[k] = token
-    cols = M.shape[1]
-    payload = "[" + ",".join(
-        "[[" + "],[".join(tokens[start : start + cols]) + "]]"
-        for start in range(0, M.size, cols)
-    ) + "]"
-    return hashlib.sha256(payload.encode()).hexdigest()
+    rows, cols = M.shape
+    pairs = np.stack([M.real, M.imag], -1).reshape(-1, 2)
+    nonzero = np.flatnonzero((M != 0) | np.signbit(M.real) | np.signbit(M.imag))
+    zeros = "[" + ",".join(["[[" + "],[".join(["0.0,0.0"] * cols) + "]]"] * rows) + "]"
+    encoded = json.dumps(pairs[nonzero].tolist(), separators=(",", ":"))
+    pieces, end = [], 0
+    starts = (3 + 10 * nonzero + 2 * (nonzero // cols)).tolist()
+    for start, token in zip(starts, encoded[2:-2].split("],[")):
+        pieces += (zeros[end:start], token)
+        end = start + 7
+    pieces.append(zeros[end:])
+    return hashlib.sha256("".join(pieces).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def _resolve_basis(pf: ProblemFile, tol: Tolerances) -> LeftEigenbasis | None:
 
 def _result_to_dict(result) -> dict:
     """One test's result dataclass as report fields, in field order."""
-    return {k: list(v) if type(v) is tuple else v for k, v in asdict(result).items()}
+    return {k: list(v) if type(v) is tuple else v for k, v in vars(result).items()}
 
 
 def _verification_to_dict(report) -> dict:
@@ -332,10 +332,10 @@ def _cmd_solve_mcp(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
         {
             "eigenbasis_source": "computed" if basis is None else "file",
             "eigenvalues": _complex2j(solution.basis.eigenvalues),
-            "eigenvector_patterns": [str(p) for p in solution.eigenvector_patterns],
+            "eigenvector_patterns": _pattern_lines(instance.incidence.T),
             "cover_instance": {
                 "universe": sorted(instance.universe),
-                "sets": [sorted(s) for s in instance.sets],
+                "sets": instance.sorted_sets(),
             },
             "solution": _solution_to_dict(solution),
         }
@@ -439,13 +439,12 @@ def _cmd_eig(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     basis = validated_basis(
         pf.matrix, _resolve_basis(pf, tol), tol.residual_tol, tol.gap_tol
     )
-    patterns = _patterns(_nonzero_mask(basis.vectors, tol.zero_tol))
     report.update(
         {
             "eigenbasis_source": "file" if pf.has_eigenbasis else "computed",
             "eigenvalues": _complex2j(basis.eigenvalues),
             "eigenvectors": _complex2j(basis.vectors),
-            "eigenvector_patterns": [str(p) for p in patterns],
+            "eigenvector_patterns": _pattern_lines(_nonzero_mask(basis.vectors, tol.zero_tol)),
         }
     )
     return 0
@@ -541,6 +540,14 @@ def _emit(report: dict, args) -> str:
     return _render_text(report)
 
 
+def _plain_numbers(items) -> bool:
+    """Whether each item is exactly an int or a finite float: its repr is its JSON text."""
+    kinds = set(map(type, items))
+    if kinds == _NUMBER_TYPES:
+        items = [x for x in items if type(x) is float]
+    return kinds <= _NUMBER_TYPES and (float not in kinds or all(map(math.isfinite, items)))
+
+
 def _write_json(value, newline: str, out: list) -> None:
     """Append ``json.dumps(value, indent=2, sort_keys=True)`` to ``out`` in pieces.
 
@@ -567,12 +574,16 @@ def _write_json(value, newline: str, out: list) -> None:
             out.append("[]")
             return
         kinds = set(map(type, value))
-        if kinds == {int}:
-            items = map(int.__repr__, value)
-        elif kinds == {float} and all(map(math.isfinite, value)):
-            items = map(float.__repr__, value)
-        elif kinds == {str}:
+        if kinds == {str}:
             items = map(encode_basestring_ascii, value)
+        elif _plain_numbers(value):
+            items = map(repr, value)
+        elif kinds == {list} and _plain_numbers(list(chain.from_iterable(value))):
+            deeper = inner + "  "
+            items = (
+                "[" + deeper + ("," + deeper).join(map(repr, row)) + inner + "]" if row else "[]"
+                for row in value
+            )
         else:
             sep = "[" + inner
             for item in value:
@@ -584,10 +595,8 @@ def _write_json(value, newline: str, out: list) -> None:
         out.append("[" + inner + ("," + inner).join(items) + newline + "]")
     elif kind is str:
         out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is float and math.isfinite(value):
-        out.append(float.__repr__(value))
+    elif _plain_numbers((value,)):
+        out.append(repr(value))
     elif kind is bool:
         out.append("true" if value else "false")
     elif value is None:

@@ -5,7 +5,8 @@ incidence, whose rows are the eigenvector patterns and whose column i is
 the set-cover instance's set i (the eigenvectors that are nonzero at
 position i), solve the cover on its bitmasks, and realize a
 numerical input vector on the chosen support that is non-orthogonal to
-every eigenvector. The eigenbasis certifies the result
+every eigenvector (one cumsum and one Gram product, or the per-vector loop
+when a rounding margin does not clear). The eigenbasis certifies the result
 (``verify.verification_report``): when its lower bound on the distance
 of (A, b) to uncontrollability clears the rank threshold, the Kalman
 rank and every PBH-eigenvalue rank are full. Otherwise one orthogonal
@@ -29,6 +30,7 @@ from .errors import (
     ZeroPattern,
 )
 from .numerics import LeftEigenbasis, as_square_matrix, as_vector, validated_basis
+from .numerics import _orthogonality_margin
 from .setcover import (
     EXACT_UNIVERSE_LIMIT,
     CoverSolution,
@@ -192,10 +194,22 @@ def _realize(
             f"vector {missed[0] + 1} has no nonzero entry on the requested support"
         )
 
-    # Step 2: work in the support subspace, with the restricted vectors
-    # stacked as rows and their norms computed once.
+    # Step 2: work in the support subspace, with the restricted vectors as rows.
     p = pattern.nnz
     restricted = stacked[:, on_support]
+    b = np.zeros(len(pattern), dtype=complex)
+
+    # Without a nudge, step 3's partial sums are one cumsum (the loop's order
+    # and bits), and one Gram product checks each against the vectors done by
+    # then. If there are vectors, all clear tau by more than rounding and the
+    # last sum has no zero entry, steps 3 and 4 would change nothing.
+    sums = np.cumsum(np.vstack([np.zeros(p), ALPHA * restricted]), axis=0)[1:]
+    clear = _orthogonality_margin(restricted, sums, tau)[1]  # vector i, sum j
+    clear |= np.tri(len(stacked), k=-1, dtype=bool)  # vector i > j is not yet checked
+    if len(stacked) and clear.all() and not _zero_entries(sums[-1], tau):
+        b[on_support] = sums[-1]
+        return b, RealizationStats((0,) * len(stacked), {})
+
     conj_restricted = restricted.conj()
     # Row by row, so each norm is the vector's own to the bit (a norm
     # along axis=1 sums in another order and can differ in the last digit).
@@ -259,7 +273,6 @@ def _realize(
         raise RepairFailed("a residual violation survived the repair loops")
 
     # Step 5: scatter back to full dimension.
-    b = np.zeros(len(pattern), dtype=complex)
     b[on_support] = bp
     return b, RealizationStats(tuple(step3_counts), step4_counts)
 

@@ -59,6 +59,26 @@ def times_power_of_two(X, e: int):
     return X * float(np.ldexp(1.0, 1023)) * float(np.ldexp(1.0, e - 1023))
 
 
+def _rounding(n: int) -> tuple[float, float]:
+    """(u, floor): a length-n product or norm errs by at most u relative, plus floor
+    once squares underflow (Higham, "Accuracy and Stability...", ch. 3)."""
+    return 8 * (n + 2) * np.finfo(float).eps, n * np.sqrt(np.finfo(float).tiny)
+
+
+def _orthogonality_margin(V, B, tau: float):
+    """(inner, clear, slack): |v . b| for each row v of V and b of B from one
+    product; where it exceeds tau ||v|| ||b|| however it and the norms are
+    computed (``_rounding``); how far another computation may lie. No norm
+    from 2^500 up clears: its square might overflow."""
+    u, floor = _rounding(V.shape[1])
+    with np.errstate(all="ignore"):
+        inner = np.abs(V.conj() @ B.T)
+        norms = np.linalg.norm(V, axis=1)[:, None], np.linalg.norm(B, axis=1)
+        vnorm, bnorm = (np.where(x < 2.0**500, x + floor, np.inf) for x in norms)
+        scale = vnorm * bnorm
+        return inner, inner > (tau * (1 + 8 * u) + 4 * u) * scale, 4 * u * scale
+
+
 def is_simple(eigenvalues, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
     """Whether all eigenvalues are pairwise distinct under the gap tolerance.
 
@@ -136,7 +156,7 @@ def check_residuals(
     largest real or imaginary part into [1/2, 1) before any norm is
     taken, so no square overflows or underflows; a message gives the
     residual in the units of A. Raises NumericalBreakdown when the SVD
-    giving ||A||_2 does not converge.
+    giving ||A||_2, run only when bounds on it cannot decide, fails.
     """
     check_tolerance("residual_tol", residual_tol)
     A = as_square_matrix(A)
@@ -146,28 +166,28 @@ def check_residuals(
         )
     e = power_of_two_exponent(A)
     A = times_power_of_two(A, e)
-    try:
-        scale = np.linalg.svd(A, compute_uv=False)[0]  # ||sA||_2
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"the 2-norm of the matrix failed: {exc}") from exc
-    # One product decides every pair when each residual clears its bound
-    # by more than the rounding that can separate it from the per-pair
-    # loop below: each product errs by at most about
-    # n*eps*(sqrt(n)*||A||_2 + |lambda|)*||v||, each norm by n*eps
-    # relative, plus sqrt(tiny) once squares underflow. Otherwise (an
-    # overflow, inf or NaN included) the loop decides, so its verdict and
-    # its message are the ones given.
+    # One product decides every pair when each residual clears its bound by
+    # more than the rounding that can separate it from the per-pair loop below
+    # (``_rounding``; a product errs by at most about u*(sqrt(n)*||A||_2 +
+    # |lambda|)*||v||), for every ||sA||_2 from the largest column norm to the
+    # Frobenius norm, which bound it and the SVD's value to within n*u.
+    # Otherwise (an overflow, inf or NaN included) the SVD runs and the loop
+    # decides, so its verdict and its message are the ones given.
     n = basis.n
     with np.errstate(all="ignore"):
         Vc = basis.vectors.conj()
         lams = times_power_of_two(basis.eigenvalues, e)
         res = np.linalg.norm(Vc @ A - lams[:, None] * Vc, axis=1)
         vnorm = np.linalg.norm(Vc, axis=1)
-        u = 8 * (n + 2) * np.finfo(float).eps
-        floor = n * np.sqrt(np.finfo(float).tiny)
-        slack = u * ((np.sqrt(n) * scale + np.abs(lams)) * vnorm + res) + floor
-        if np.all(res + slack < residual_tol * scale * (vnorm * (1 - u) - floor)):
+        u, floor = _rounding(n)
+        low, high = np.linalg.norm(A, axis=0).max(), np.linalg.norm(A)
+        slack = u * ((np.sqrt(n) * high * (1 + n * u) + np.abs(lams)) * vnorm + res) + floor
+        if np.all(res + slack < residual_tol * low * (1 - n * u) * (vnorm * (1 - u) - floor)):
             return
+        try:
+            scale = np.linalg.svd(A, compute_uv=False)[0]  # ||sA||_2
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown(f"the 2-norm of the matrix failed: {exc}") from exc
         for j, (lam, v) in enumerate(zip(lams, basis.vectors), start=1):
             res = np.linalg.norm(v.conj() @ A - lam * v.conj())
             if not res <= residual_tol * scale * np.linalg.norm(v):  # NaN fails too

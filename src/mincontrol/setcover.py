@@ -61,7 +61,14 @@ class SetCoverInstance:
 
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.incidence)
+        return tuple(map(frozenset, self.sorted_sets()))
+
+    def sorted_sets(self) -> list[list[int]]:
+        """Each set's elements in ascending order, sets in order."""
+        rows, elements = np.nonzero(self.incidence)
+        bounds = np.searchsorted(rows, np.arange(self.n_sets + 1)).tolist()
+        elements = (elements + 1).tolist()
+        return [elements[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @property
     def n_sets(self) -> int:

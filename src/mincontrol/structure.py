@@ -67,9 +67,7 @@ class _Pattern:
 
     def __str__(self) -> str:
         """One line of '0' and '*' per row."""
-        text = self._flags().tobytes().translate(_TEXT).decode()
-        width = self._shape[-1]
-        return "\n".join(text[k : k + width] for k in range(0, len(text), width))
+        return "\n".join(_pattern_lines(self._flags().reshape(-1, self._shape[-1])))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {str(self)!r}>"
@@ -265,6 +263,13 @@ def _patterns(incidence: np.ndarray) -> tuple[StructuralVector, ...]:
     """One ``StructuralVector`` per row of a boolean incidence."""
     n = incidence.shape[1]
     return tuple(StructuralVector._of(np.flatnonzero(row), n=n) for row in incidence)
+
+
+def _pattern_lines(incidence: np.ndarray) -> list[str]:
+    """Each row of a boolean incidence as pattern text, one '0' or '*' per entry."""
+    text = incidence.tobytes().translate(_TEXT).decode()
+    width = incidence.shape[1]
+    return [text[k : k + width] for k in range(0, len(text), width)]
 
 
 def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .numerics import LeftEigenbasis, as_square_matrix, as_vector
+from .numerics import LeftEigenbasis, _orthogonality_margin, as_square_matrix, as_vector
 from .numerics import power_of_two_exponent, times_power_of_two
 from .tolerances import DEFAULT_TAU, check_tolerance
 
@@ -388,13 +388,19 @@ def pbh_eigenvector_test(
     check_tolerance("tau", tau)
     b = as_vector(b, basis.n)
     nb = np.linalg.norm(b)
+    # One product bounds every |v_j . b|. A pair that clears tau cannot fail,
+    # and can hold the smallest only if its lower bound reaches the least
+    # upper bound of the cleared pairs; np.vdot takes the rest, to the bit.
+    inner, clear, slack = (x[:, 0] for x in _orthogonality_margin(basis.vectors, b[None], tau))
+    reach = np.min(inner[clear] + slack[clear], initial=np.inf)
     violator = None
     min_inner = np.inf
-    for j, (_, v) in enumerate(basis, start=1):
-        inner = abs(np.vdot(v, b))
-        min_inner = min(min_inner, inner)
-        if violator is None and inner <= tau * np.linalg.norm(v) * nb:
-            violator = j
+    for j in np.flatnonzero(~clear | (inner <= reach + slack)).tolist():
+        v = basis.vectors[j]
+        inner_j = abs(np.vdot(v, b))
+        min_inner = min(min_inner, inner_j)
+        if violator is None and inner_j <= tau * np.linalg.norm(v) * nb:
+            violator = j + 1
     return PbhEigenvectorResult(
         controllable=violator is None, violator=violator, min_inner=float(min_inner)
     )

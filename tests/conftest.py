@@ -81,6 +81,16 @@ def random_simple_matrix(rng, n, gap_tol=1e-6):
             return A
 
 
+def sparse_simple_matrix(rng, n, density=0.035):
+    """Diagonal about 1..n with jitter, uniform [-1, 1] entries off it at
+    the given density: the family of the benchmark's mcp-large inputs."""
+    A = np.diag(np.arange(1, n + 1) + rng.uniform(-0.2, 0.2, n))
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, False)
+    A[mask] = rng.uniform(-1.0, 1.0, int(mask.sum()))
+    return A
+
+
 # Reference oracles. The package decides controllability on the staircase
 # form and never forms the Krylov matrix; these rank it directly, the way
 # the paper states the Kalman test, for the suites to compare against.

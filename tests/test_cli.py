@@ -267,6 +267,13 @@ class TestSolveMcpCommand:
         golden = (REPO_ROOT / "tests" / "data" / "golden5_report.json").read_text()
         assert out == golden
 
+    def test_golden_greedy_report(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["solve-mcp", "tests/data/golden5.json", "--mode", "greedy", "--json", "--no-timings"]
+        assert run_command(argv) == 0
+        golden = (REPO_ROOT / "tests" / "data" / "golden5_greedy_report.json").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_golden_basis_report(self, capsys, monkeypatch):
         # The same system with its eigenbasis in the file: no eigensolve.
         monkeypatch.chdir(REPO_ROOT)
@@ -1010,12 +1017,22 @@ class TestBasisTolerancesReachTheSolve:
 
 
 class TestNormFailureIsTyped:
-    def test_eig_with_failing_svd(self, capsys, golden_path, monkeypatch):
+    def test_eig_with_failing_svd(self, capsys, tmp_path, monkeypatch):
+        # A file basis whose first residual, 5e-8 ||v||, lies between 1e-8
+        # times A's largest column norm and its Frobenius norm: only the
+        # SVD giving ||A||_2 decides it.
+        path = tmp_path / "problem.json"
+        eigenvalues = GOLDEN_EIGENVALUES + [5e-8, 0, 0, 0, 0]
+        basis = {"eigenvalues": eigenvalues.tolist(), "vectors": GOLDEN_LEFT_EIGENVECTORS.tolist()}
+        path.write_text(json.dumps({"matrix": GOLDEN_A.tolist(), "eigenbasis": basis}))
+        assert run_command(["eig", str(path), "--json", "--no-timings"]) == 0
+        capsys.readouterr()
+
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        code = run_command(["eig", golden_path, "--json", "--no-timings"])
+        code = run_command(["eig", str(path), "--json", "--no-timings"])
         captured = capsys.readouterr()
         assert code == 1
         report = json.loads(captured.out)
@@ -1069,6 +1086,30 @@ class TestReportWriter:
         [{}, [], (), {"a": {}, "b": [], "c": [[]]}, [True, 1, False, 0], [1.5, math.nan]],
     )
     def test_edge_values(self, value):
+        assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[1, 2], [3], [-(2**70)]],
+            [[1.5, -0.0], [5e-324, 1e300]],
+            {"a": [[2.0, -1.0]], "b": {"c": [[1, 2]]}},
+            [[], [1], []],
+            [[1, 2.5], [3.0, 4]],
+            [[2**200, 0.5]],
+            [[True, 1], [0]],
+            [[1.0], [False]],
+            [[1.0, math.nan]],
+            [[math.inf], [1]],
+            [[2, -math.inf]],
+            [[np.float64(1.5)], [2.0]],
+            [[1, [2]], [3]],
+            [[1], 2],
+        ],
+    )
+    def test_number_lists(self, value):
+        # Lists of number lists take one branch; a bool, a non-finite
+        # float or any other item sends them through the general one.
         assert written(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_unserializable_value_raises_like_json(self):

@@ -35,6 +35,7 @@ from conftest import (
     GOLDEN_PATTERNS,
     is_cover,
     random_simple_matrix,
+    sparse_simple_matrix,
 )
 
 
@@ -334,6 +335,87 @@ class TestRealizeAgainstScalarReference:
                 want = reference_realize(pattern, basis.vectors)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1] == want[1]
+
+    def test_no_vectors(self):
+        # Nothing constrains b, so step 4 sets each support entry to EPS2.
+        for support in ((1, 3), (2,), (1, 2, 3, 4)):
+            pattern = StructuralVector.from_support(support, 4)
+            got = realize_with_stats(pattern, [])
+            want = reference_realize(pattern, [])
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1] == RealizationStats((), dict.fromkeys(support, 1))
+            assert got[0].tolist() == [0.1 if i in support else 0 for i in range(1, 5)]
+
+    @pytest.fixture
+    def loop_checks(self, monkeypatch):
+        """One entry per orthogonality check the per-vector loop makes."""
+        calls = []
+        check = mcp._orthogonality_violation
+
+        def counting(*args):
+            calls.append(None)
+            return check(*args)
+
+        monkeypatch.setattr(mcp, "_orthogonality_violation", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_bases_take_the_array_path(self, seed, loop_checks):
+        # n = 64-100, the benchmark's mcp-large family: every check clears
+        # tau by far more than rounding, so the per-vector loop never runs,
+        # and the vector still has the loop's bits.
+        rng = np.random.default_rng(90 + seed)
+        for n in (64, 82, 100):
+            basis = left_eigenbasis(sparse_simple_matrix(rng, n))
+            instance = build_cover_instance([structural_pattern(v) for v in basis.vectors])
+            for support in (solve_exact(instance, n).indices, range(1, n + 1)):
+                pattern = StructuralVector.from_support(support, n)
+                got = realize_with_stats(pattern, basis.vectors)
+                want = reference_realize(pattern, basis.vectors)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1] == want[1]
+        assert not loop_checks
+
+    def test_near_tau_takes_the_loop(self, loop_checks):
+        # tau is the smallest ratio |r_i . s_j| / (||r_i|| ||s_j||) of a
+        # vector to a partial sum, moved by 16 (p + 2) eps / ratio relative:
+        # half the array path's rounding margin, and several times the
+        # rounding that can separate the loop from the reference. So the
+        # array path declines and the loop decides: no nudge just below
+        # the ratio, a nudge or a failure just above it.
+        rng = np.random.default_rng(95)
+        outcomes = []
+        while len(outcomes) < 80:
+            n, count = 3 + len(outcomes) % 4, 2 + len(outcomes) % 3
+            vectors = rng.standard_normal((count, n))
+            if len(outcomes) % 4:
+                vectors = vectors + 1j * rng.standard_normal((count, n))
+            sums = np.cumsum(vectors, axis=0)
+            ratio = min(
+                abs(np.vdot(vectors[i], sums[j]))
+                / (np.linalg.norm(vectors[i]) * np.linalg.norm(sums[j]))
+                for j in range(count)
+                for i in range(j + 1)
+            )
+            if not 0.01 < ratio < 0.2:
+                continue
+            pattern = StructuralVector.from_support(range(1, n + 1), n)
+            for sign in (-1, 1):
+                loop_checks.clear()
+                shift = sign * 16 * (n + 2) * np.finfo(float).eps / ratio
+                cfg = RealizationConfig(tau=ratio * (1 + shift))
+                got = outcome(realize_with_stats, pattern, list(vectors), cfg)
+                want = outcome(reference_realize, pattern, list(vectors), cfg)
+                assert loop_checks
+                if isinstance(want[0], type):
+                    assert got == want
+                    outcomes.append(want[0])
+                    continue
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1] == want[1]
+                outcomes.append(sum(want[1].step3_corrections) > 0)
+                assert outcomes[-1] == (sign > 0)
+        assert outcomes.count(False) > 20 and outcomes.count(True) > 10
 
 
 class TestSolveMcp:

@@ -13,6 +13,7 @@ from mincontrol import (
     is_simple,
     left_eigenbasis,
     perturb_nonzero,
+    solve_mcp,
 )
 from mincontrol.numerics import _PHASE_TOL
 from conftest import (
@@ -22,6 +23,7 @@ from conftest import (
     controllability_matrix,
     numerical_rank,
     random_simple_matrix,
+    sparse_simple_matrix,
 )
 
 
@@ -285,6 +287,35 @@ class TestResidualDecisionMatchesLoop:
                 expected = residual_loop_reference(A, basis, tol)
                 assert self.outcome(A, basis, tol) == expected
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_pairs_within_two_of_the_bound(self, seed, monkeypatch):
+        # n = 64-100, the benchmark's mcp-large family, with some pairs'
+        # residuals between 1/2 and 2 times residual_tol * ||A||_2. The
+        # largest column norm is within 2e-5 of ||A||_2 here, so the norm
+        # bounds pass the pairs below 0.9 without an SVD of A, and those
+        # just below 1 need it.
+        rng = np.random.default_rng(30 + seed)
+        svd, svds = np.linalg.svd, []
+
+        def counting(M, *args, **kwargs):
+            svds.append(np.shape(M))
+            return svd(M, *args, **kwargs)
+
+        outcomes = []
+        for n in (64, 82, 100):
+            A = sparse_simple_matrix(rng, n)
+            for spread in ((0.5, 0.9), (1 - 5e-6, 1 - 1e-6), (0.5, 2.0)):
+                ratios = np.where(rng.random(n) < 0.2, rng.uniform(*spread, n), 0.0)
+                basis = basis_at_residual_ratios(A, ratios, self.TOL)
+                expected = residual_loop_reference(A, basis, self.TOL)
+                assert (expected is None) == (ratios.max() < 1)
+                monkeypatch.setattr(np.linalg, "svd", counting)
+                svds.clear()
+                assert self.outcome(A, basis, self.TOL) == expected
+                monkeypatch.setattr(np.linalg, "svd", svd)
+                outcomes.append((expected is None, bool(svds)))
+        assert {(True, False), (True, True), (False, True)} <= set(outcomes)
+
 
 class TestIsSimple:
     def test_worked_spectrum(self):
@@ -413,9 +444,17 @@ class TestNumericalRank:
         assert seen == [dtype]
 
 
+def undecided_golden_basis():
+    """Golden's pairs with eigenvalue 1 moved by 5e-8: its residual, 5e-8
+    ||v||, lies between 1e-8 times A's largest column norm (4.56) and its
+    Frobenius norm (8.44), so only ||A||_2 (6.16) decides it: it passes."""
+    return LeftEigenbasis(GOLDEN_EIGENVALUES + [5e-8, 0, 0, 0, 0], GOLDEN_LEFT_EIGENVECTORS)
+
+
 class TestCheckResiduals:
     def test_svd_failure_is_numerical_breakdown(self, monkeypatch, golden_a):
-        basis = LeftEigenbasis(GOLDEN_EIGENVALUES, GOLDEN_LEFT_EIGENVECTORS)
+        basis = undecided_golden_basis()
+        check_residuals(golden_a, basis)
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -423,6 +462,23 @@ class TestCheckResiduals:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NumericalBreakdown, match="2-norm"):
             check_residuals(golden_a, basis)
+
+    def test_golden_solve_takes_no_svd_of_the_matrix(self, monkeypatch, golden_a):
+        # check_residuals takes ||sA||_2, s = 1/8 here, only when its
+        # bounds cannot decide: the spy sees sA for the undecided basis,
+        # and never in golden's solve, whose residuals are at rounding.
+        svd, seen = np.linalg.svd, []
+
+        def spy(M, *args, **kwargs):
+            seen.append(np.array(M))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        check_residuals(golden_a, undecided_golden_basis())
+        assert any(np.array_equal(M, golden_a / 8) for M in seen)
+        seen.clear()
+        solve_mcp(golden_a)
+        assert not any(np.array_equal(M, golden_a / 8) for M in seen)
 
     def test_huge_entries(self):
         # Rounding-level residual entries near 1e184 would overflow their

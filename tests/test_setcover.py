@@ -344,6 +344,10 @@ class TestInstanceValidation:
         # Elements equal to 1..m in another type are those elements.
         assert SetCoverInstance({1.0, 2}, [{True}, {2.0}]) == SetCoverInstance({1, 2}, [{1}, {2}])
 
+    def test_sorted_sets_view(self):
+        assert WORKED.sorted_sets() == [sorted(s) for s in WORKED.sets]
+        assert SetCoverInstance({1, 2}, [set(), {2, 1}, set()]).sorted_sets() == [[], [1, 2], []]
+
     def test_cover_solution_normalizes(self):
         sol = CoverSolution({3, 1}, exact=True)
         assert sol.sorted_indices == (1, 3)

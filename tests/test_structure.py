@@ -12,7 +12,7 @@ from mincontrol import (
     structural_geq,
     structural_pattern,
 )
-from mincontrol.structure import _BLOCK_BYTES, _nonzero_mask
+from mincontrol.structure import _BLOCK_BYTES, _nonzero_mask, _pattern_lines
 
 patterns = st.integers(1, 8).flatmap(
     lambda n: st.tuples(*([st.booleans()] * n)).map(StructuralVector)
@@ -76,6 +76,13 @@ class TestStructuralPattern:
             [True, True, False],
             [True, False, False],
         ]
+
+    def test_pattern_lines_are_each_rows_text(self):
+        mask = np.random.default_rng(3).random((6, 9)) < 0.4
+        for incidence in (mask, mask.T, mask[:1], mask[:, :1]):
+            lines = _pattern_lines(incidence)
+            assert lines == [str(StructuralVector(row.tolist())) for row in incidence]
+            assert "\n".join(lines) == str(StructuralMatrix(*incidence.shape, incidence.ravel().tolist()))
 
 
 class TestStructuralGeq:

@@ -24,6 +24,7 @@ from conftest import (
     controllability_matrix,
     numerical_rank,
     random_simple_matrix,
+    sparse_simple_matrix,
 )
 
 B_WORKED = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
@@ -328,6 +329,80 @@ class TestPbhEigenvector:
         base = pbh_eigenvector_test(integer_basis, b).controllable
         for alpha in (2.0, 1e9, 1e-9, -3.0, 1j):
             assert pbh_eigenvector_test(integer_basis, alpha * b).controllable == base
+
+
+def reference_pbh_vec(basis, b, tau=1e-10):
+    """pbh_eigenvector_test's per-pair loop: the first violator and the
+    smallest |v . b|, each inner product by np.vdot and each norm on its own."""
+    b = np.asarray(b, dtype=complex)
+    nb = np.linalg.norm(b)
+    inners = [abs(np.vdot(v, b)) for v in basis.vectors]
+    violators = [
+        j
+        for j, (inner, v) in enumerate(zip(inners, basis.vectors), start=1)
+        if inner <= tau * np.linalg.norm(v) * nb
+    ]
+    return (violators or [None])[0], min(inners)
+
+
+class TestPbhEigenvectorAgainstLoop:
+    """The violator and the bits of min_inner equal the per-pair loop's."""
+
+    def check(self, basis, b, tau=1e-10):
+        res = pbh_eigenvector_test(basis, b, tau)
+        violator, min_inner = reference_pbh_vec(basis, b, tau)
+        assert (res.violator, res.controllable) == (violator, violator is None)
+        assert np.float64(res.min_inner).tobytes() == np.float64(min_inner).tobytes()
+        return violator
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_bases(self, seed):
+        # n = 64-100, the benchmark's mcp-large family; b on one, three or
+        # all positions, so that some vectors are nearly orthogonal to b.
+        rng = np.random.default_rng(60 + seed)
+        violators = []
+        for n in (64, 82, 100):
+            basis = left_eigenbasis(sparse_simple_matrix(rng, n))
+            for size in (1, 3, n):
+                b = np.zeros(n, dtype=complex)
+                b[rng.choice(n, size, replace=False)] = rng.uniform(0.5, 2.0, size)
+                violators.append(self.check(basis, b))
+        assert violators.count(None) >= 3 and len(set(violators)) >= 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tau_at_a_pairs_own_ratio(self, seed):
+        # tau is pair j's ratio |v_j . b| / (||v_j|| ||b||) moved by
+        # 16 (n + 2) eps / ratio relative: within the one product's
+        # rounding margin, so the per-pair loop decides, and j violates
+        # exactly when tau lies above its ratio.
+        rng = np.random.default_rng(70 + seed)
+        n = 20 + 20 * seed
+        basis = left_eigenbasis(random_simple_matrix(rng, n))
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ratios = [
+            abs(np.vdot(v, b)) / (np.linalg.norm(v) * np.linalg.norm(b)) for v in basis.vectors
+        ]
+        for j in np.argsort(ratios)[:5]:
+            for sign in (-1, 1):
+                shift = sign * 16 * (n + 2) * np.finfo(float).eps / ratios[j]
+                tau = ratios[j] * (1 + shift)
+                violator = self.check(basis, b, tau)
+                assert (violator == j + 1) == (sign > 0 and j == np.argmin(ratios[: j + 1]))
+
+    def test_non_finite_products(self):
+        # Rows of +-2^1000 overflow their inner products with b to inf or
+        # NaN; they clear nothing, so np.vdot takes them: the first inf
+        # row violates (inf <= inf), and no NaN is ever the smallest.
+        rng = np.random.default_rng(75)
+        n = 8
+        V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        V[5], V[7] = 2.0**1000, 2.0**1000
+        V[6] = 2.0**1000 * np.resize([1, -1], n)
+        basis = LeftEigenbasis(np.arange(n, dtype=float), V)
+        b = 2.0**100 * np.ones(n)
+        inners = [np.vdot(v, b) for v in V]
+        assert np.isinf(inners[5]) and np.isnan(inners[6])
+        assert self.check(basis, b) == 6
 
 
 class TestKalman:
