@@ -256,6 +256,11 @@ def _resolve_basis(pf: ProblemFile, tol: Tolerances) -> LeftEigenbasis | None:
     return LeftEigenbasis(pf.eigenvalues, pf.eigenvectors, gap_tol=tol.gap_tol)
 
 
+def _checked_basis(pf: ProblemFile, tol: Tolerances) -> LeftEigenbasis:
+    """The file's eigenbasis checked against the matrix, or the matrix's own."""
+    return validated_basis(pf.matrix, _resolve_basis(pf, tol), tol.residual_tol, tol.gap_tol)
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -379,9 +384,7 @@ def _cmd_verify(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
     if args.method == "kalman":
         res = kalman_test(pf.matrix, b, tol.rank_tol)
     else:
-        basis = validated_basis(
-            pf.matrix, _resolve_basis(pf, tol), tol.residual_tol, tol.gap_tol
-        )
+        basis = _checked_basis(pf, tol)
         if args.method == "pbh-eig":
             res = _certify(pf.matrix, b, tol.rank_tol, basis, kalman=False)[0]
         else:
@@ -436,9 +439,7 @@ def _cmd_compare(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
 
 
 def _cmd_eig(args, pf: ProblemFile, tol: Tolerances, report: dict) -> int:
-    basis = validated_basis(
-        pf.matrix, _resolve_basis(pf, tol), tol.residual_tol, tol.gap_tol
-    )
+    basis = _checked_basis(pf, tol)
     report.update(
         {
             "eigenbasis_source": "file" if pf.has_eigenbasis else "computed",

@@ -148,12 +148,6 @@ def _orthogonality_violation(bp, conj_restricted, norms, tau) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _zero_entries(bp, tau, upto=None) -> list[int]:
-    peak = np.abs(bp).max()
-    head = bp if upto is None else bp[:upto]
-    return np.flatnonzero(np.abs(head) <= tau * peak).tolist()
-
-
 def realize_with_stats(
     pattern: StructuralVector,
     vectors: Sequence,
@@ -206,7 +200,7 @@ def _realize(
     sums = np.cumsum(np.vstack([np.zeros(p), ALPHA * restricted]), axis=0)[1:]
     clear = _orthogonality_margin(restricted, sums, tau)[1]  # vector i, sum j
     clear |= np.tri(len(stacked), k=-1, dtype=bool)  # vector i > j is not yet checked
-    if len(stacked) and clear.all() and not _zero_entries(sums[-1], tau):
+    if len(stacked) and clear.all() and _nonzero_mask(sums[-1], tau).all():
         b[on_support] = sums[-1]
         return b, RealizationStats((0,) * len(stacked), {})
 
@@ -237,15 +231,15 @@ def _realize(
             )
         step3_counts.append(count)
 
-    # Step 4: repair zero entries, adding multiples of a vector that is
-    # nonzero at the offending position (the lowest-index one), at most
-    # p + |J| + 1 multiples per entry. A position no vector touches is
-    # unconstrained (it enters no inner product), so the coordinate
-    # direction itself serves as the repair vector there.
+    # Step 4: repair zero entries (``_nonzero_mask`` under tau), adding
+    # multiples of a vector that is nonzero at the offending position (the
+    # lowest-index one), at most p + |J| + 1 multiples per entry. A position
+    # no vector touches is unconstrained (it enters no inner product), so
+    # the coordinate direction itself serves as the repair vector there.
     step4_counts: dict[int, int] = {}
     multiplier_bound = p + len(stacked) + 1
     for k in range(p):
-        if k not in _zero_entries(bp, tau):
+        if _nonzero_mask(bp, tau)[k]:
             continue
         pos = int(on_support[k]) + 1
         touching = np.flatnonzero(nonzero[:, pos - 1])
@@ -256,7 +250,7 @@ def _realize(
             direction[k] = 1.0
         for mult in range(1, multiplier_bound + 1):
             bp = bp + EPS2 * direction
-            if not _zero_entries(bp, tau, upto=k + 1) and (
+            if _nonzero_mask(bp, tau)[: k + 1].all() and (
                 _orthogonality_violation(bp, conj_restricted, norms, tau) is None
             ):
                 step4_counts[pos] = mult
@@ -267,7 +261,7 @@ def _realize(
                 f"{multiplier_bound} multiplier steps"
             )
 
-    if _zero_entries(bp, tau) or (
+    if not _nonzero_mask(bp, tau).all() or (
         _orthogonality_violation(bp, conj_restricted, norms, tau) is not None
     ):
         raise RepairFailed("a residual violation survived the repair loops")

@@ -22,33 +22,36 @@ _PHASE_TOL = 1e-9
 
 
 def as_square_matrix(A) -> np.ndarray:
-    """Validate and return A as a finite complex n x n array."""
-    A = np.asarray(A, dtype=complex)
+    """Validate and return A as a finite, C-ordered complex n x n array."""
+    A = np.asarray(A, dtype=complex, order="C")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
 
 def as_vector(v, n: int | None = None) -> np.ndarray:
-    """Validate and return v as a finite complex vector, optionally of length n."""
-    v = np.asarray(v, dtype=complex)
+    """Validate and return v as a finite, contiguous complex vector (of length n if given)."""
+    v = np.asarray(v, dtype=complex, order="C")
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch(f"expected a nonempty vector, got shape {v.shape}")
     if n is not None and v.size != n:
         raise DimensionMismatch(f"expected length {n}, got {v.size}")
-    if not np.all(np.isfinite(v.view(float))):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
 
+def _largest_part(X: np.ndarray):
+    """The largest |real| or |imag| part of X; NaN when a part is NaN."""
+    peak = np.abs(X.real).max()
+    return np.maximum(peak, np.abs(X.imag).max()) if X.dtype.kind == "c" else peak
+
+
 def power_of_two_exponent(X: np.ndarray) -> int:
     """e with the largest |part| of 2^e X in [1/2, 1) (0 for zero X)."""
-    peak = np.abs(X.real).max()
-    if X.dtype.kind == "c":
-        peak = max(peak, np.abs(X.imag).max())
-    return -int(np.frexp(peak)[1])
+    return -int(np.frexp(_largest_part(X))[1])
 
 
 def times_power_of_two(X, e: int):
@@ -117,7 +120,7 @@ class LeftEigenbasis:
 
     def __post_init__(self):
         lam = np.array(self.eigenvalues, dtype=complex).ravel()
-        V = np.array(self.vectors, dtype=complex)
+        V = np.array(self.vectors, dtype=complex, order="C")
         if V.ndim != 2 or V.shape[0] != V.shape[1]:
             raise DimensionMismatch("vectors must form an n x n stack (one per row)")
         if lam.size != V.shape[0]:
@@ -139,9 +142,6 @@ class LeftEigenbasis:
     @property
     def n(self) -> int:
         return self.eigenvalues.size
-
-    def __len__(self) -> int:
-        return self.n
 
     def __iter__(self):
         return zip(self.eigenvalues, self.vectors)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge, ZeroPattern
-from .mcp import _realize
+from .errors import TooLarge
+from .mcp import _cover_instance, _realize
 from .numerics import as_square_matrix, left_eigenbasis
 from .structure import StructuralVector, _nonzero_mask
 from .tolerances import Tolerances
@@ -42,10 +42,8 @@ def brute_force_mcp(
     if n > n_limit:
         raise TooLarge(f"n={n} exceeds the brute-force limit {n_limit}")
     basis = left_eigenbasis(A, tol.residual_tol, tol.gap_tol)
-    incidence = _nonzero_mask(basis.vectors, tol.zero_tol)
-    empty = np.flatnonzero(~incidence.any(axis=1))
-    if empty.size:
-        raise ZeroPattern(f"eigenvector {empty[0] + 1} has an all-zero pattern")
+    # The solve's instance: it raises ZeroPattern on an all-zero pattern.
+    incidence = _cover_instance(_nonzero_mask(basis.vectors, tol.zero_tol)).incidence.T
     eigen_supports = [set((np.flatnonzero(row) + 1).tolist()) for row in incidence]
 
     for k in range(1, n + 1):

@@ -203,8 +203,7 @@ def is_structurally_controllable(
     pattern: StructuralMatrix, b_pattern: StructuralVector
 ) -> bool:
     """Whether the input pattern feeds every non-top-linked component."""
-    dag = _mscp_condensation(pattern, b_pattern)
-    return structural_geq(b_pattern, _feed(dag, b_pattern))
+    return structural_geq(b_pattern, compatible_mscp_solution(pattern, b_pattern))
 
 
 def compatible_mscp_solution(

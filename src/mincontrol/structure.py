@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
+from .numerics import _largest_part, as_vector
 from .tolerances import DEFAULT_ZERO_TOL, check_tolerance
 
 _STAR = "*"
@@ -238,10 +239,7 @@ def structural_pattern(v, zero_tol: float = DEFAULT_ZERO_TOL) -> StructuralVecto
     genuinely below the eigensolver's accuracy cannot be told apart from
     zeros; callers that need a different cut pass their own zero_tol.
     """
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionMismatch("expected a nonempty 1-d vector")
-    return _patterns(_nonzero_mask(v[None], zero_tol))[0]
+    return _patterns(_nonzero_mask(as_vector(v)[None], zero_tol))[0]
 
 
 def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
@@ -251,9 +249,8 @@ def _nonzero_mask(V, zero_tol: float) -> np.ndarray:
     which leaves an all-zero vector with no star. A stack is thresholded
     in one pass: row j is the pattern of vector j and column i marks the
     vectors nonzero at position i, which is set i of the cover instance.
+    Callers pass finite vectors (``numerics.as_vector`` or a basis).
     """
-    if not np.isfinite(V).all():
-        raise ValueError("vector entries must be finite")
     check_tolerance("zero_tol", zero_tol, zero_ok=True)
     mags, peak = _magnitudes(V)
     return mags > zero_tol * peak
@@ -276,10 +273,9 @@ def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:
     """|V| and its peak along the last axis (kept as a length-1 axis).
 
     |z| of a complex entry overflows to inf when its parts are finite
-    but large. Only a vector whose peak is not finite, and whose parts
-    are all finite, is measured after scaling by its largest part, so
-    every other magnitude is |V| to the bit. A peak stays non-finite
-    exactly when its vector holds a NaN or an infinite part.
+    but large. Only a vector whose peak is not finite is measured after
+    scaling by its largest part, so every other magnitude is |V| to the
+    bit. V must be finite.
     """
     mags = _abs(V)
     peak = mags.max(axis=-1, keepdims=True)
@@ -289,10 +285,8 @@ def _magnitudes(V) -> tuple[np.ndarray, np.ndarray]:
         X.reshape(-1, X.shape[-1]) for X in (np.asarray(V), mags, peak)
     )
     for i in np.flatnonzero(~np.isfinite(row_peaks[:, 0])):
-        largest = _largest_part(rows[i])
-        if np.isfinite(largest):
-            row_mags[i] = np.abs(rows[i] / largest)
-            row_peaks[i] = row_mags[i].max()
+        row_mags[i] = np.abs(rows[i] / _largest_part(rows[i]))
+        row_peaks[i] = row_mags[i].max()
     return mags, peak
 
 
@@ -303,11 +297,6 @@ def _abs(V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     own absolute value, so it would read as negative and never as a star.
     """
     return np.abs(V, out=out, dtype=np.float64 if V.dtype.kind in "biu" else None)
-
-
-def _largest_part(V: np.ndarray):
-    """The largest |real| or |imag| part of V; NaN when a part is NaN."""
-    return np.maximum(np.abs(V.real).max(), np.abs(V.imag).max())
 
 
 def structural_geq(v: StructuralVector, w: StructuralVector) -> bool:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
-from .numerics import LeftEigenbasis, _orthogonality_margin, as_square_matrix, as_vector
-from .numerics import power_of_two_exponent, times_power_of_two
+from .errors import NumericalBreakdown
+from .numerics import LeftEigenbasis, _orthogonality_margin, _rounding, as_square_matrix
+from .numerics import as_vector, power_of_two_exponent, times_power_of_two
 from .tolerances import DEFAULT_TAU, check_tolerance
 
 
@@ -261,8 +261,7 @@ def _lower_bound(
     n = M.shape[0]
     if not (U.imag.any() or M.imag.any() or mu.imag.any()):
         U, M, mu = U.real, M.real, mu.real
-    u = 8 * (n + 2) * np.finfo(float).eps
-    floor = n * np.sqrt(np.finfo(float).tiny)
+    u, floor = _rounding(n)
     with np.errstate(all="ignore"):
         U = U / np.linalg.norm(U, axis=1)[:, None]
         rows = np.linalg.norm(U, axis=1)
@@ -367,13 +366,8 @@ def _kalman(form: Staircase, shifts: np.ndarray, lower: np.ndarray) -> KalmanRes
 
 
 def _scaled_eigenvalues(scale: int, eigenvalues) -> np.ndarray:
-    lam = np.asarray(eigenvalues, dtype=complex).ravel()
-    if lam.size == 0:
-        raise DimensionMismatch("eigenvalue sequence must be nonempty")
-    if not np.isfinite(lam).all():
-        raise ValueError("eigenvalues must be finite")
     with np.errstate(over="ignore"):
-        return times_power_of_two(lam, scale)
+        return times_power_of_two(as_vector(eigenvalues), scale)
 
 
 def pbh_eigenvector_test(

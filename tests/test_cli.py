@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mincontrol import DimensionError, ParseError, cli
+from mincontrol import DimensionError, ParseError, cli, solve_mcp
 from mincontrol.cli import (
     _matrix_digest,
     _write_json,
@@ -22,6 +22,7 @@ from conftest import (
     GOLDEN_EIGENVALUES,
     GOLDEN_LEFT_EIGENVECTORS,
     random_simple_matrix,
+    sparse_simple_matrix,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +133,47 @@ class TestLoadProblem:
             [[complex(re, im) for re, im in row] for row in pairs]
         ).tobytes()
 
+    @staticmethod
+    def pair_system():
+        """A complex matrix with a real diagonal, as rows of [re, im] pairs."""
+        rng = np.random.default_rng(4)
+        A = sparse_simple_matrix(rng, 8, density=0.3)
+        off = (A != 0) & ~np.eye(8, dtype=bool)
+        A = A + 1j * np.where(off, rng.uniform(-1.0, 1.0, A.shape), 0.0)
+        return A, [[[z.real, z.imag] for z in row] for row in A.tolist()]
+
+    def test_pair_matrix_decodes_as_one_array(self, tmp_path, monkeypatch):
+        A, pairs = self.pair_system()
+        mixed = [row[:] for row in pairs]
+        mixed[0][0] = A[0, 0].real  # a plain number: the entry-by-entry path
+        calls = []
+        decode_entry = cli._decode_entry
+        monkeypatch.setattr(
+            cli, "_decode_entry", lambda *a: calls.append(a) or decode_entry(*a)
+        )
+        decoded = {}
+        for name, matrix in (("pairs", pairs), ("mixed", mixed)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"matrix": matrix}))
+            calls.clear()
+            decoded[name] = load_problem(str(path)).matrix
+            assert len(calls) == (0 if name == "pairs" else A.size)
+        assert decoded["pairs"].tobytes() == decoded["mixed"].tobytes() == A.tobytes()
+
+    def test_pair_matrix_solves_like_the_array(self, capsys, tmp_path):
+        A, pairs = self.pair_system()
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"matrix": pairs}))
+        code, report = run_json(capsys, "solve-mcp", str(path))
+        want = solve_mcp(A)
+        assert code == 0
+        assert report["input"]["matrix_digest"] == _matrix_digest(A)
+        assert report["solution"]["support"] == list(want.support)
+        assert report["solution"]["vector"] == [[z.real, z.imag] for z in want.vector.tolist()]
+        assert report["eigenvalues"] == [
+            [z.real, z.imag] for z in want.basis.eigenvalues.tolist()
+        ]
+
     def test_digest_matches_per_entry_encoding(self):
         rng = np.random.default_rng(5)
         M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -193,6 +235,51 @@ class TestMalformedProblemMessages:
             f"error: {path}: eigenvectors[2][2]: expected a number or a "
             "[real, imag] pair, got True\n"
         )
+
+
+class TestProblemFileErrors:
+    """Each loader check of a malformed problem file exits 2 with one
+    error line naming the file, and no traceback."""
+
+    MATRIX = '"matrix": [[1, 0], [0, 2]]'
+
+    CASES = {
+        "row-count": (
+            '{MATRIX, "eigenbasis": {"eigenvalues": [1, 2], "vectors": [[1, 0]]}}',
+            ": eigenvectors: expected 2 rows",
+        ),
+        "invalid-json": ("{MATRIX,}", ":1: Expecting property name enclosed in double quotes"),
+        "no-matrix-field": ('{"n": 2}', ": expected an object with a 'matrix' field"),
+        "empty-matrix": ('{"matrix": []}', ": 'matrix' must be a nonempty array of rows"),
+        "matrix-not-a-list": ('{"matrix": 5}', ": 'matrix' must be a nonempty array of rows"),
+        "no-eigenvalues": (
+            '{MATRIX, "eigenbasis": {"vectors": [[1, 0], [0, 1]]}}',
+            ": eigenbasis needs 'eigenvalues' and 'vectors'",
+        ),
+        "no-vectors": (
+            '{MATRIX, "eigenbasis": {"eigenvalues": [1, 2]}}',
+            ": eigenbasis needs 'eigenvalues' and 'vectors'",
+        ),
+        "tolerances-not-an-object": (
+            '{MATRIX, "tolerances": [1e-9]}', ": 'tolerances' must be an object"
+        ),
+        "tolerance-not-a-number": (
+            '{MATRIX, "tolerances": {"zero_tol": "1e-9"}}',
+            ": tolerance zero_tol must be a number",
+        ),
+        "text-bad-token": ("1 0\n0 x\n", ":2: could not convert string to float: 'x'"),
+        "text-no-rows": ("# no rows\n\n", ": no matrix rows found"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_two(self, capsys, tmp_path, case):
+        text, message = self.CASES[case]
+        path = tmp_path / ("problem.txt" if case.startswith("text") else "problem.json")
+        path.write_text(text.replace("MATRIX", self.MATRIX))
+        assert run_command(["solve-mcp", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}{message}\n"
+        assert captured.out == ""
 
 
 class TestOverflowingIntegerLiterals:

@@ -12,8 +12,13 @@ from mincontrol import (
     check_residuals,
     is_simple,
     left_eigenbasis,
+    kalman_test,
+    pbh_eigenvalue_test,
+    pbh_eigenvector_test,
     perturb_nonzero,
     solve_mcp,
+    structural_pattern,
+    verification_report,
 )
 from mincontrol.numerics import _PHASE_TOL
 from conftest import (
@@ -566,3 +571,117 @@ class TestPerturbNonzero:
     def test_widest_finite_range(self, golden_a):
         out = perturb_nonzero(golden_a, np.finfo(float).max / 2, seed=0)
         assert np.isfinite(out).all()
+
+
+def _layouts(X):
+    """X as Fortran-ordered, transposed-view, strided and negative-stride
+    arrays of equal value and dtype."""
+    X = np.asarray(X)
+    spread = np.zeros(tuple(2 * d for d in X.shape), X.dtype)
+    spread[(slice(None, None, 2),) * X.ndim] = X
+    return {
+        "fortran": np.asfortranarray(X),
+        "transposed": np.ascontiguousarray(X.T).T,
+        "strided": spread[(slice(None, None, 2),) * X.ndim],
+        "reversed": np.ascontiguousarray(X[::-1])[::-1],
+    }
+
+
+class TestArrayLayouts:
+    """Every array entry point reads a Fortran-ordered, transposed or
+    strided input as its C-ordered copy: the same result, to the bit."""
+
+    n = 12
+
+    @pytest.fixture(params=["real", "complex"])
+    def system(self, request):
+        rng = np.random.default_rng(3)
+        A = sparse_simple_matrix(rng, self.n, density=0.3)
+        b = rng.uniform(-1.0, 1.0, self.n)
+        b[::3] = 0.0
+        if request.param == "complex":
+            A = A + 1j * np.where(A != 0, rng.uniform(-1.0, 1.0, A.shape), 0.0)
+            b = b + 1j * np.where(b != 0, rng.uniform(-1.0, 1.0, self.n), 0.0)
+        return A, b, left_eigenbasis(A)
+
+    @staticmethod
+    def variants(A, b, basis):
+        """(layout, A, b, vectors, eigenvalues), each array in that layout."""
+        arrays = [_layouts(x) for x in (A, b, basis.vectors, basis.eigenvalues)]
+        for layout in arrays[0]:
+            yield (layout, *(x[layout] for x in arrays))
+
+    def test_layouts_hold_the_same_values(self, system):
+        A, b, basis = system
+        for layout, A2, b2, V2, lam2 in self.variants(A, b, basis):
+            assert not A2.flags.c_contiguous or not b2.flags.c_contiguous, layout
+            for x, y in ((A, A2), (b, b2), (basis.vectors, V2), (basis.eigenvalues, lam2)):
+                assert x.dtype == y.dtype and np.array_equal(x, y), layout
+
+    def test_solve_mcp(self, system):
+        A, b, basis = system
+        want = solve_mcp(A)
+        for layout, A2, _, V2, lam2 in self.variants(A, b, basis):
+            for got in (solve_mcp(A2), solve_mcp(A2, basis=LeftEigenbasis(lam2, V2))):
+                assert got.support == want.support, layout
+                assert got.vector.tobytes() == want.vector.tobytes(), layout
+                assert got.certificate == want.certificate, layout
+
+    def test_left_eigenbasis(self, system):
+        A, b, basis = system
+        for layout, A2, *_ in self.variants(A, b, basis):
+            got = left_eigenbasis(A2)
+            assert got.eigenvalues.tobytes() == basis.eigenvalues.tobytes(), layout
+            assert got.vectors.tobytes() == basis.vectors.tobytes(), layout
+
+    def test_supplied_basis_is_stored_c_ordered(self, system):
+        A, b, basis = system
+        for layout, _, _, V2, lam2 in self.variants(A, b, basis):
+            got = LeftEigenbasis(lam2, V2)
+            assert got.vectors.flags.c_contiguous, layout
+            assert got.vectors.tobytes() == basis.vectors.tobytes(), layout
+
+    def test_check_residuals(self, system):
+        A, b, basis = system
+        shifted = LeftEigenbasis(basis.eigenvalues + 1e-3, basis.vectors)
+        with pytest.raises(EigensolveFailed) as want:
+            check_residuals(A, shifted)
+        for layout, A2, _, V2, lam2 in self.variants(A, b, basis):
+            assert check_residuals(A2, LeftEigenbasis(lam2, V2)) is None, layout
+            with pytest.raises(EigensolveFailed) as got:
+                check_residuals(A2, LeftEigenbasis(lam2 + 1e-3, V2))
+            assert str(got.value) == str(want.value), layout
+
+    def test_kalman_test(self, system):
+        A, b, basis = system
+        want = kalman_test(A, b)
+        for layout, A2, b2, *_ in self.variants(A, b, basis):
+            assert kalman_test(A2, b2) == want, layout
+
+    def test_pbh_eigenvalue_test(self, system):
+        A, b, basis = system
+        want = pbh_eigenvalue_test(A, b, basis.eigenvalues)
+        for layout, A2, b2, _, lam2 in self.variants(A, b, basis):
+            assert pbh_eigenvalue_test(A2, b2, lam2) == want, layout
+
+    def test_pbh_eigenvector_test(self, system):
+        A, b, basis = system
+        want = pbh_eigenvector_test(basis, b)
+        for layout, _, b2, V2, lam2 in self.variants(A, b, basis):
+            assert pbh_eigenvector_test(LeftEigenbasis(lam2, V2), b2) == want, layout
+
+    def test_verification_report(self, system):
+        A, b, basis = system
+        want = verification_report(b, A, basis)
+        for layout, A2, b2, V2, lam2 in self.variants(A, b, basis):
+            got = verification_report(b2, A2, LeftEigenbasis(lam2, V2))
+            assert got == want, layout
+
+    def test_structural_pattern(self, system):
+        A, b, basis = system
+        want = structural_pattern(b)
+        assert want.nnz == np.count_nonzero(b)
+        for layout, _, b2, V2, _ in self.variants(A, b, basis):
+            assert structural_pattern(b2) == want, layout
+            for v, v2 in zip(basis.vectors, V2):
+                assert structural_pattern(v2) == structural_pattern(v), layout

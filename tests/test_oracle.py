@@ -5,7 +5,9 @@ import pytest
 
 from mincontrol import (
     NotSimple,
+    Tolerances,
     TooLarge,
+    ZeroPattern,
     brute_force_mcp,
     left_eigenbasis,
     solve_mcp,
@@ -43,6 +45,15 @@ class TestBruteForce:
     def test_not_simple(self):
         with pytest.raises(NotSimple):
             brute_force_mcp(np.eye(4))
+
+    def test_zero_pattern_is_the_solves(self, golden_a):
+        # zero_tol = 1 keeps no entry, so every pattern is all-zero.
+        tol = Tolerances(zero_tol=1.0)
+        with pytest.raises(ZeroPattern) as solved:
+            solve_mcp(golden_a, tol=tol)
+        with pytest.raises(ZeroPattern) as oracle:
+            brute_force_mcp(golden_a, tol=tol)
+        assert str(oracle.value) == str(solved.value)
 
     def test_eigenbasis_solved_once(self, monkeypatch, golden_a):
         # Every candidate support is certified on the oracle's own basis:

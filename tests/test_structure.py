@@ -49,8 +49,14 @@ class TestStructuralPattern:
         assert str(structural_pattern([1.0, 1e-300, 0.0], zero_tol=0.0)) == "**0"
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            structural_pattern([np.inf, 1.0])
+        for v in ([np.inf, 1.0], [1.0, complex(0.0, np.nan)]):
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                structural_pattern(v)
+
+    @pytest.mark.parametrize("v", [[], [[1.0, 0.0]], 1.0])
+    def test_rejects_a_non_vector(self, v):
+        with pytest.raises(DimensionMismatch, match="expected a nonempty vector"):
+            structural_pattern(v)
 
     @pytest.mark.parametrize("zero_tol", [-1e-9, np.nan, np.inf])
     def test_zero_tol_must_be_nonnegative_and_finite(self, zero_tol):

@@ -61,6 +61,18 @@ class TestPbhEigenvalue:
         with pytest.raises(DimensionMismatch):
             pbh_eigenvalue_test(golden_a, [1.0, 0.0], GOLDEN_EIGENVALUES)
 
+    @pytest.mark.parametrize(
+        "eigenvalues, error, message",
+        [
+            ([], DimensionMismatch, "expected a nonempty vector"),
+            ([[1.0, 2.0]], DimensionMismatch, "expected a nonempty vector"),
+            ([1.0, np.nan], ValueError, "vector entries must be finite"),
+        ],
+    )
+    def test_eigenvalues_are_a_finite_vector(self, eigenvalues, error, message):
+        with pytest.raises(error, match=message):
+            pbh_eigenvalue_test(np.diag([1.0, 2.0]), [1.0, 1.0], eigenvalues)
+
 
 
 def reference_pbh_ranks(A, b, eigenvalues, rank_tol=None):
