@@ -47,7 +47,6 @@ from .setcover import (
 )
 from .structural import (
     SccDag,
-    StateDigraph,
     compatible_mscp_solution,
     is_structurally_controllable,
     scc_dag,
@@ -109,7 +108,6 @@ __all__ = [
     "solve_exact",
     "solve_greedy",
     "SccDag",
-    "StateDigraph",
     "compatible_mscp_solution",
     "is_structurally_controllable",
     "scc_dag",

@@ -55,6 +55,11 @@ _TOL_KEYS = tuple(f.name for f in fields(Tolerances))
 _NUMBER_TYPES = {int, float}
 
 
+def _numbers(items) -> bool:
+    """Whether every item is a JSON number: exactly an int or a float, never a bool."""
+    return set(map(type, items)) <= _NUMBER_TYPES
+
+
 # ---------------------------------------------------------------------------
 # problem files
 
@@ -74,13 +79,9 @@ class ProblemFile:
 
 
 def _decode_entry(raw, where: str) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _numbers((raw,)):
         parts = (raw,)
-    elif (
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
-    ):
+    elif isinstance(raw, list) and len(raw) == 2 and _numbers(raw):
         parts = raw
     else:
         raise ParseError(f"{where}: expected a number or a [real, imag] pair, got {raw!r}")
@@ -104,15 +105,14 @@ def _decode_rows(raw, n_rows: int, n_cols: int, where: str) -> np.ndarray:
         raise DimensionError(f"{where}: expected {n_rows} rows")
     if all(type(row) is list and len(row) == n_cols for row in raw):
         entries = list(chain.from_iterable(raw))
-        kinds = set(map(type, entries))
         values = None
         try:
-            if kinds <= _NUMBER_TYPES:
+            if _numbers(entries):
                 values = np.array(raw, dtype=float).astype(complex)
             elif (
-                kinds == {list}
+                set(map(type, entries)) == {list}
                 and set(map(len, entries)) == {2}
-                and set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES
+                and _numbers(chain.from_iterable(entries))
             ):
                 values = np.array(raw, dtype=float).view(complex)[..., 0]
         except OverflowError:  # worded below, at the offending entry
@@ -164,7 +164,7 @@ def _load_json_problem(text: str, path: str) -> ProblemFile:
         for key, val in doc["tolerances"].items():
             if key not in _TOL_KEYS:
                 raise ParseError(f"{path}: unknown tolerance {key!r}")
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
+            if not _numbers((val,)):
                 raise ParseError(f"{path}: tolerance {key} must be a number")
             try:
                 overrides[key] = float(val)
@@ -203,8 +203,7 @@ def load_problem(path: str) -> ProblemFile:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return _load_json_problem(text, path)
     return _load_text_problem(text, path)
 

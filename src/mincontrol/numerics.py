@@ -119,16 +119,9 @@ class LeftEigenbasis:
     gap_tol: float = DEFAULT_GAP_TOL
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=complex).ravel()
-        V = np.array(self.vectors, dtype=complex, order="C")
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise DimensionMismatch("vectors must form an n x n stack (one per row)")
-        if lam.size != V.shape[0]:
-            raise DimensionMismatch(
-                f"{lam.size} eigenvalues for {V.shape[0]} eigenvectors"
-            )
-        if not (np.isfinite(lam).all() and np.isfinite(V).all()):
-            raise ValueError("eigenvalues and eigenvectors must be finite")
+        # Private copies: the basis freezes its own arrays, never the caller's.
+        V = as_square_matrix(np.array(self.vectors, dtype=complex, order="C"))
+        lam = as_vector(np.array(self.eigenvalues, dtype=complex), V.shape[0])
         norms = np.linalg.norm(V, axis=1)
         if np.any(norms == 0):
             raise ValueError("eigenvectors must be nonzero")

@@ -1,33 +1,19 @@
 """Structural controllability on the state digraph.
 
-Vertices are the states x_1..x_n; an edge (i, j) means state j sees
-state i (pattern position (j, i) is nonzero). With a full nonzero
-diagonal, a single input controls the structure iff it feeds every
-strongly connected component that has no incoming edge from outside.
+The state digraph of a square pattern is the pattern itself: its
+vertices are the states x_1..x_n, and x_i -> x_j iff position (j, i)
+is a star (state j sees state i). With a full nonzero diagonal, a single
+input controls the structure iff it feeds every strongly connected
+component that has no incoming edge from outside.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSelfLoops, NotSquare
 from .structure import StructuralMatrix, StructuralVector, structural_geq
-
-
-@dataclass(frozen=True)
-class StateDigraph:
-    """Directed graph on vertices 1..n; edge (i, j) points from x_i to x_j."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for i, j in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise DimensionMismatch(f"edge ({i},{j}) outside 1..{self.n}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +27,6 @@ class SccDag:
     """
 
     components: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]]
     non_top_linked: tuple[bool, ...]
     membership: tuple[int, ...]
 
@@ -56,19 +41,23 @@ class SccDag:
         )
 
 
-def state_digraph(pattern: StructuralMatrix) -> StateDigraph:
-    """Digraph of a square pattern: x_i -> x_j iff position (j, i) is a star."""
+def state_digraph(pattern: StructuralMatrix) -> StructuralMatrix:
+    """The state digraph of a square pattern, which is the pattern itself."""
     if pattern.rows != pattern.cols:
         raise NotSquare(f"pattern is {pattern.rows}x{pattern.cols}")
-    dst, src = np.divmod(pattern.positions, pattern.cols)
-    return StateDigraph(pattern.rows, frozenset(zip((src + 1).tolist(), (dst + 1).tolist())))
+    return pattern
 
 
-def scc_dag(g: StateDigraph) -> SccDag:
-    """Condense a digraph and flag the components with no incoming edge."""
-    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
-    src, dst = flat.reshape(-1, 2).T - 1
-    return _condense(g.n, src, dst)
+def _edges(pattern: StructuralMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """A square pattern's state-digraph edges ``src -> dst``, 0-based."""
+    dst, src = np.divmod(state_digraph(pattern).positions, pattern.cols)
+    return src, dst
+
+
+def scc_dag(pattern: StructuralMatrix) -> SccDag:
+    """Condense a square pattern's state digraph and flag the components
+    with no incoming edge."""
+    return _condense(pattern.rows, *_edges(pattern))
 
 
 def _condense(n: int, src: np.ndarray, dst: np.ndarray) -> SccDag:
@@ -93,15 +82,12 @@ def _condense(n: int, src: np.ndarray, dst: np.ndarray) -> SccDag:
     vertices = (np.argsort(membership, kind="stable") + 1).tolist()
     ends = np.cumsum(np.bincount(membership)).tolist()
     src, dst = membership[src], membership[dst]
-    between = src != dst
-    src, dst = src[between], dst[between]
     has_incoming = np.zeros(first.size, dtype=bool)
-    has_incoming[dst] = True
+    has_incoming[dst[src != dst]] = True
     return SccDag(
         components=tuple(
             tuple(vertices[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
         ),
-        edges=frozenset(zip(src.tolist(), dst.tolist())),
         non_top_linked=tuple((~has_incoming).tolist()),
         membership=tuple(membership.tolist()),
     )
@@ -162,8 +148,7 @@ def _mscp_condensation(
     solvers below cover only that case, and then DimensionMismatch when
     ``b_pattern`` is not one entry per state, both before condensing.
     """
-    if pattern.rows != pattern.cols:
-        raise NotSquare(f"pattern is {pattern.rows}x{pattern.cols}")
+    src, dst = _edges(pattern)
     missing = [i + 1 for i, d in enumerate(pattern.diagonal) if not d]
     if missing:
         raise MissingSelfLoops(
@@ -174,7 +159,6 @@ def _mscp_condensation(
         )
     if b_pattern is not None and len(b_pattern) != pattern.rows:
         raise DimensionMismatch(f"input pattern length {len(b_pattern)} != {pattern.rows}")
-    dst, src = np.divmod(pattern.positions, pattern.cols)
     return _condense(pattern.rows, src, dst)
 
 

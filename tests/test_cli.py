@@ -250,6 +250,10 @@ class TestProblemFileErrors:
         ),
         "invalid-json": ("{MATRIX,}", ":1: Expecting property name enclosed in double quotes"),
         "no-matrix-field": ('{"n": 2}', ": expected an object with a 'matrix' field"),
+        "array-not-an-object": (
+            "  [[1, 0], [0, 2]]", ": expected an object with a 'matrix' field"
+        ),
+        "invalid-json-array": ("[[1, 0], [0, 2]", ":1: Expecting ',' delimiter"),
         "empty-matrix": ('{"matrix": []}', ": 'matrix' must be a nonempty array of rows"),
         "matrix-not-a-list": ('{"matrix": 5}', ": 'matrix' must be a nonempty array of rows"),
         "no-eigenvalues": (
@@ -819,6 +823,13 @@ class TestOracleCommand:
         assert report["min_support_size"] == 3
         assert report["optimal_supports"] == [[2, 3, 4], [2, 4, 5]]
         assert report["kalman_verdicts"] == [True, True]
+
+    def test_golden_report(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["oracle", "tests/data/golden5.json", "--json", "--no-timings"]
+        assert run_command(argv) == 0
+        golden = (REPO_ROOT / "tests" / "data" / "golden5_oracle_report.json").read_text()
+        assert capsys.readouterr().out == golden
 
 
 class TestCompareCommand:

@@ -11,6 +11,7 @@ from mincontrol import (
     RealizationConfig,
     RealizationStats,
     RepairFailed,
+    StructuralMatrix,
     StructuralVector,
     VerificationFailed,
     ZeroPattern,
@@ -23,6 +24,7 @@ from mincontrol import (
     realize_with_stats,
     solve_exact,
     solve_mcp,
+    solve_mscp,
     structural_pattern,
     support_from_cover,
     Tolerances,
@@ -530,3 +532,51 @@ class TestDensityOfRealizations:
             if not kalman_test(golden_a, b).controllable:
                 failures += 1
         assert failures == 0
+
+
+def planted_system(n, seed):
+    """A with known left eigenvectors: the rows of V, the identity plus
+    three ±1/2 entries per row above the diagonal, for eigenvalues
+    1..n, each moved by at most 0.2. V A = diag(λ) V."""
+    rng = np.random.default_rng([n, seed])
+    V = np.eye(n)
+    for i in range(n - 1):
+        cols = rng.choice(np.arange(i + 1, n), size=min(3, n - 1 - i), replace=False)
+        V[i, cols] = rng.choice([-0.5, 0.5], size=cols.size)
+    lam = np.arange(1, n + 1) + rng.uniform(-0.2, 0.2, n)
+    return np.linalg.solve(V, lam[:, None] * V), V
+
+
+def planted_cover_size(V):
+    """scipy's MILP optimum: fewest states that meet every row of V's pattern."""
+    optimize = pytest.importorskip("scipy.optimize")
+    ones = np.ones(V.shape[1])
+    result = optimize.milp(
+        ones,
+        constraints=[optimize.LinearConstraint((V != 0).astype(float), lb=1)],
+        integrality=ones,
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.success
+    return round(result.fun)
+
+
+class TestPlantedEigenbasis:
+    """A family whose sparsest single input is known: the left
+    eigenvectors are planted exactly sparse, so the cover is V's pattern
+    and its optimum is a MILP's. The pattern of A is triangular, so the
+    structural answer is one input while the numerical one grows with n."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24, 32, 40])
+    def test_sizes_are_the_planted_optimum(self, n, seed):
+        A, V = planted_system(n, seed)
+        solution = solve_mcp(A, exact_limit=n)
+        incidence = solution.cover_instance.incidence.T
+        assert sorted(map(tuple, incidence.tolist())) == sorted(map(tuple, (V != 0).tolist()))
+        assert solution.size == planted_cover_size(V)
+        assert solution.certificate.consistent
+        mscp = solve_mscp(StructuralMatrix.from_numeric(A)).nnz
+        assert mscp <= solution.size
+        if n >= 16:
+            assert mscp < solution.size

@@ -126,8 +126,26 @@ class TestUserSuppliedBasis:
         eigenvalues = np.array([1.0, 2.0, 3.0], dtype=complex)
         vectors = np.eye(3, dtype=complex)
         (eigenvalues if where == "eigenvalue" else vectors[1])[1] = value
-        with pytest.raises(ValueError, match="^eigenvalues and eigenvectors must be finite$"):
+        with pytest.raises(ValueError, match="^(vector|matrix) entries must be finite$"):
             LeftEigenbasis(eigenvalues, vectors)
+
+    def test_eigenvalues_must_be_a_vector(self):
+        # Raveled, a 1 x 2 block would pass as two eigenvalues.
+        with pytest.raises(DimensionMismatch):
+            LeftEigenbasis(np.array([[1.0, 2.0]]), np.eye(2))
+
+    def test_vectors_must_be_square(self):
+        with pytest.raises(DimensionMismatch):
+            LeftEigenbasis([1.0, 2.0], np.eye(2)[:, :1])
+
+    def test_freezes_its_own_copies(self):
+        eigenvalues = np.array([1.0, 2.0], dtype=complex)
+        vectors = np.eye(2, dtype=complex)
+        basis = LeftEigenbasis(eigenvalues, vectors)
+        assert eigenvalues.flags.writeable and vectors.flags.writeable
+        assert not (basis.eigenvalues.flags.writeable or basis.vectors.flags.writeable)
+        eigenvalues[0] = vectors[0, 0] = 7.0
+        assert basis.eigenvalues[0] == 1.0 and basis.vectors[0, 0] == 1.0
 
 
 def phase_loop_reference(A):

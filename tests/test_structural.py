@@ -15,7 +15,6 @@ from mincontrol import (
     MincontrolError,
     MissingSelfLoops,
     NotSquare,
-    StateDigraph,
     StructuralMatrix,
     StructuralVector,
     compatible_mscp_solution,
@@ -39,32 +38,54 @@ def random_full_diagonal_pattern(rng, n, density=0.3):
     return StructuralMatrix(n, n, tuple(mask.ravel().tolist()))
 
 
+def _edge_set(pattern):
+    """The state digraph's edges (i, j), x_i -> x_j, 1-based."""
+    src, dst = structural._edges(pattern)
+    return set(zip((src + 1).tolist(), (dst + 1).tolist()))
+
+
 class TestStateDigraph:
+    """The square pattern is the state digraph: x_i -> x_j iff (j, i) is a star."""
+
     def test_worked_example(self, golden_a):
-        g = state_digraph(golden_pattern(golden_a))
-        incoming_2 = {(i, j) for i, j in g.edges if j == 2}
-        incoming_4 = {(i, j) for i, j in g.edges if j == 4}
-        assert incoming_2 == {(2, 2)}
-        assert incoming_4 == {(4, 4)}
+        pattern = golden_pattern(golden_a)
+        assert state_digraph(pattern) is pattern
+        edges = _edge_set(pattern)
+        assert {(i, j) for i, j in edges if j == 2} == {(2, 2)}
+        assert {(i, j) for i, j in edges if j == 4} == {(4, 4)}
         for a, b in itertools.permutations((1, 3, 5), 2):
-            assert (a, b) in g.edges
+            assert (a, b) in edges
+        dag = scc_dag(pattern)
+        assert dag.components == ((1, 3, 5), (2,), (4,))
+        assert dag.non_top_linked == (False, True, True)
 
     def test_diagonal_only(self):
-        g = state_digraph(StructuralMatrix.from_rows(["*00", "0*0", "00*"]))
-        assert g.edges == frozenset({(1, 1), (2, 2), (3, 3)})
+        pattern = StructuralMatrix.from_rows(["*00", "0*0", "00*"])
+        assert _edge_set(pattern) == {(1, 1), (2, 2), (3, 3)}
+        dag = scc_dag(pattern)
+        assert dag.components == ((1,), (2,), (3,))
+        assert dag.non_top_linked == (True, True, True)
 
     def test_dense_two_by_two(self):
-        g = state_digraph(StructuralMatrix.from_rows(["**", "**"]))
-        assert g.edges == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+        pattern = StructuralMatrix.from_rows(["**", "**"])
+        assert _edge_set(pattern) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        dag = scc_dag(pattern)
+        assert dag.components == ((1, 2),)
+        assert dag.non_top_linked == (True,)
 
     def test_edge_orientation(self):
         # only entry (2, 1) is set: state 2 sees state 1, so x1 -> x2
-        g = state_digraph(StructuralMatrix.from_rows(["00", "*0"]))
-        assert g.edges == frozenset({(1, 2)})
+        pattern = StructuralMatrix.from_rows(["00", "*0"])
+        assert _edge_set(pattern) == {(1, 2)}
+        dag = scc_dag(pattern)
+        assert dag.components == ((1,), (2,))
+        assert dag.non_top_linked == (True, False)
 
     def test_not_square(self):
-        with pytest.raises(NotSquare):
-            state_digraph(StructuralMatrix.from_rows(["**0", "0*0"]))
+        pattern = StructuralMatrix.from_rows(["**0", "0*0"])
+        for call in (state_digraph, scc_dag, solve_mscp):
+            with pytest.raises(NotSquare):
+                call(pattern)
 
 
 class TestSccDag:
@@ -74,21 +95,19 @@ class TestSccDag:
         assert dag.non_top_linked_components == ((2,), (4,))
 
     def test_single_component(self):
-        g = StateDigraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
-        dag = scc_dag(g)
+        # x1 -> x2 -> x3 -> x1, with no self-loops
+        dag = scc_dag(StructuralMatrix.from_rows(["00*", "*00", "0*0"]))
         assert dag.components == ((1, 2, 3),)
         assert dag.non_top_linked == (True,)
 
     def test_chain(self):
-        g = StateDigraph(
-            3, frozenset({(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)})
-        )
-        dag = scc_dag(g)
+        # self-loops, x1 -> x2 and x2 -> x3
+        dag = scc_dag(StructuralMatrix.from_rows(["*00", "**0", "0**"]))
         assert dag.components == ((1,), (2,), (3,))
         assert dag.non_top_linked == (True, False, False)
 
     def test_membership(self, golden_a):
-        dag = scc_dag(state_digraph(golden_pattern(golden_a)))
+        dag = scc_dag(golden_pattern(golden_a))
         assert dag.membership == (0, 1, 0, 2, 0)
 
     def test_relabeling_invariance(self):
@@ -96,18 +115,14 @@ class TestSccDag:
         for _ in range(15):
             n = int(rng.integers(2, 9))
             pattern = random_full_diagonal_pattern(rng, n)
-            dag = scc_dag(state_digraph(pattern))
+            dag = scc_dag(pattern)
             perm = rng.permutation(n)  # vertex v -> perm[v-1] + 1
             mask = np.array(pattern.mask).reshape(n, n)
             permuted = np.empty_like(mask)
             for i in range(n):
                 for j in range(n):
                     permuted[perm[i], perm[j]] = mask[i, j]
-            dag_p = scc_dag(
-                state_digraph(
-                    StructuralMatrix(n, n, tuple(permuted.ravel().tolist()))
-                )
-            )
+            dag_p = scc_dag(StructuralMatrix(n, n, tuple(permuted.ravel().tolist())))
             mapped = sorted(
                 tuple(sorted(perm[v - 1] + 1 for v in comp))
                 for comp in dag.components
@@ -145,7 +160,7 @@ class TestSolveMscp:
             n = int(rng.integers(2, 9))
             pattern = random_full_diagonal_pattern(rng, n)
             solution = solve_mscp(pattern)
-            dag = scc_dag(state_digraph(pattern))
+            dag = scc_dag(pattern)
             assert solution.nnz == sum(dag.non_top_linked)
 
     def test_minimality_exhaustive(self):
@@ -255,7 +270,7 @@ def _random_pattern_mask(rng, n):
 
 
 def _scipy_condensation(mask):
-    """Components, membership, non-top-linked flags and DAG edges via scipy."""
+    """Components, membership and non-top-linked flags via scipy."""
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     sparse = pytest.importorskip("scipy.sparse")
     n = mask.shape[0]
@@ -273,15 +288,12 @@ def _scipy_condensation(mask):
         membership[np.array(comp) - 1] = index[comp]
     rows, cols = np.nonzero(mask)
     src, dst = membership[cols], membership[rows]
-    keep = src != dst
-    edges = frozenset(zip(src[keep].tolist(), dst[keep].tolist()))
     has_incoming = np.zeros(len(components), dtype=bool)
-    has_incoming[dst[keep]] = True
+    has_incoming[dst[src != dst]] = True
     return (
         tuple(components),
         tuple(membership.tolist()),
         tuple((~has_incoming).tolist()),
-        edges,
     )
 
 
@@ -303,25 +315,21 @@ class TestScipyCrossCheck:
             StructuralMatrix(n, n, tuple(mask.astype(int).ravel().tolist())),
             StructuralMatrix.from_numeric(numeric),
         ]
-        components, membership, flags, edges = _scipy_condensation(mask)
-        expected_edges = frozenset(
-            (i + 1, j + 1) for j, i in zip(*np.nonzero(mask))
-        )
+        components, membership, flags = _scipy_condensation(mask)
+        expected_edges = {(i + 1, j + 1) for j, i in zip(*np.nonzero(mask))}
         for pattern in variants:
             assert pattern == variants[0]
             assert all(type(m) is bool for m in pattern.mask)
             assert pattern.stars == tuple(
                 (r + 1, c + 1) for r, c in zip(*np.nonzero(mask))
             )
-            g = state_digraph(pattern)
-            assert g.edges == expected_edges
-            dag = scc_dag(g)
+            assert _edge_set(pattern) == expected_edges
+            dag = scc_dag(pattern)
             assert dag.components == components
             assert dag.membership == membership
             assert dag.non_top_linked == flags
-            assert dag.edges == edges
         full = mask | np.eye(n, dtype=bool)
-        components, _, flags, _ = _scipy_condensation(full)
+        components, _, flags = _scipy_condensation(full)
         assert solve_mscp(StructuralMatrix(n, n, full.ravel())).support == tuple(
             comp[0] for comp, flag in zip(components, flags) if flag
         )
@@ -396,12 +404,6 @@ def permuted_systems(draw):
     return A, perm, c
 
 
-def _components(pattern):
-    """``structural._condense`` on a square pattern's star positions."""
-    dst, src = np.divmod(pattern.positions, pattern.cols)
-    return structural._condense(pattern.rows, src, dst)
-
-
 class TestPermutationSimilarity:
     """Relabelling the states (A -> P A P^T) relabels the MSCP answer."""
 
@@ -416,7 +418,7 @@ class TestPermutationSimilarity:
         assert solve_mscp(permuted).nnz == len(support)
         moved = StructuralVector.from_support([perm[v - 1] + 1 for v in support], n)
         assert is_structurally_controllable(permuted, moved)
-        dag, dag_p = _components(pattern), _components(permuted)
+        dag, dag_p = scc_dag(pattern), scc_dag(permuted)
         mapped = {
             tuple(sorted(perm[v - 1] + 1 for v in comp)): flag
             for comp, flag in zip(dag.components, dag.non_top_linked)
